@@ -7,7 +7,8 @@ Subcommands:
   phase         closed-form value curves and phase boundaries over (M, n)
   bound-oracle  brute-force check of the exact distortion decomposition
 
-Exit codes: 0 success, 1 check failure, 2 config error, 3 IO error.
+Exit codes: 0 success, 1 check failure or diverged training (a non-finite
+gradient or parameter), 2 config error, 3 IO error.
 Config files are INI-style key = value sections; every CSV starts with a
 comment line carrying a short hash of the effective configuration.
 """
@@ -34,6 +35,7 @@ from .objective import SampleSet, compute_D_exact
 from .trainer import (
     CheckpointError,
     TrainerState,
+    TrainingDivergedError,
     checkpoint_load,
     checkpoint_save,
     dominance,
@@ -457,6 +459,9 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
+    except TrainingDivergedError as exc:
+        print(f"error: training diverged: {exc}", file=sys.stderr)
+        return EXIT_CHECK_FAILED
     except FileNotFoundError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_IO

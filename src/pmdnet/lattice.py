@@ -145,10 +145,6 @@ class LeakageMatrix:
     def num_nodes(self) -> int:
         return self.matrix.shape[0]
 
-    def row(self, y_flat: int) -> tuple[np.ndarray, np.ndarray]:
-        lo, hi = self.matrix.indptr[y_flat], self.matrix.indptr[y_flat + 1]
-        return self.matrix.indices[lo:hi], self.matrix.data[lo:hi]
-
     def apply(self, v: np.ndarray) -> np.ndarray:
         """(L v)_y = sum_y' L[y, y'] v[y'] for vectors or (M, d) stacks."""
         return self.matrix @ v
@@ -204,9 +200,6 @@ class Lattice:
         nbr_indptr, nbr_indices
                      CSR layout of neighbourhood rows (row y' = N(y'))
         nbr_matrix   0/1 CSR over that layout (window sums are nbr_matrix @ v)
-        inv_indptr, inv_indices
-                     CSR layout of inverse-neighbourhood rows, obtained by
-                     transposing the scanned incidence, never by symmetry
         win_idx      (M, K) flat indices of each node's input window,
                      K = i1 * i2
         leakage      the LeakageMatrix for cfg
@@ -221,10 +214,6 @@ class Lattice:
         self.nbr_matrix = sparse.csr_array(
             (ones, self.nbr_indices, self.nbr_indptr), shape=(self.num_nodes, self.num_nodes)
         )
-        inv = self.nbr_matrix.T.tocsr()
-        inv.sort_indices()
-        self.inv_indptr = inv.indptr.astype(np.int64)
-        self.inv_indices = inv.indices.astype(np.int64)
 
         i1, i2 = cfg.input_window
         d1, d2 = cfg.input_dims
@@ -256,9 +245,6 @@ class Lattice:
 
     def nbr_row(self, y_flat: int) -> np.ndarray:
         return self.nbr_indices[self.nbr_indptr[y_flat]:self.nbr_indptr[y_flat + 1]]
-
-    def inv_row(self, y_flat: int) -> np.ndarray:
-        return self.inv_indices[self.inv_indptr[y_flat]:self.inv_indptr[y_flat + 1]]
 
     def gather(self, x: np.ndarray) -> np.ndarray:
         """Windowed view of one input vector: (M, K) array of x restricted

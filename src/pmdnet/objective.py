@@ -3,7 +3,8 @@
 Two routes are implemented on purpose:
 
 * the model objective (compute_D1_D2) evaluated with the scalable leaked
-  posterior and windowed residuals, which is what training minimises;
+  posterior and windowed residuals, which is what training minimises; its
+  per-input pass (forward) is the one the gradients build on;
 * brute-force oracles (compute_D_exact, bound_from_posterior) that evaluate
   the exact multiple-firing distortion and its upper-bound pieces for any
   given posterior, used to verify the decomposition and stationarity.
@@ -18,8 +19,9 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
+from scipy import sparse
 
-from .activation import NodeParams, activities, localized_posterior_rows
+from .activation import NodeParams, localized_posterior_rows, stable_sigmoid
 from .lattice import Lattice, LeakageMatrix
 
 ENUMERATION_GUARD = 1_000_000
@@ -121,6 +123,46 @@ def bound_from_posterior(
     return BoundValue(d1=d1, d2=d2, n=n)
 
 
+@dataclass
+class Forward:
+    """One input vector's pass through the network.
+
+    x_windows  (M, K) the input restricted to each node's window
+    q          (M,) sigmoid activities
+    p_rows     (M, M) sparse localized posteriors, row y' supported on N(y')
+    p          (M,) column sums of p_rows: the mass node y collects
+    rho        (M,) leaked weights L^T p
+    d_win      (M, K) windowed residuals x - x'(y)
+    e          (M,) squared residual norms
+    dbar       (D,) coherent residual sum_y rho_y d_y in full input space
+    """
+
+    x_windows: np.ndarray
+    q: np.ndarray
+    p_rows: sparse.csr_array
+    p: np.ndarray
+    rho: np.ndarray
+    d_win: np.ndarray
+    e: np.ndarray
+    dbar: np.ndarray
+
+
+def forward(x: np.ndarray, lattice: Lattice, params: NodeParams, leakage: LeakageMatrix) -> Forward:
+    """Activities, posterior, leaked weights and residuals for one input."""
+    xw = lattice.gather(x)
+    q = stable_sigmoid(np.einsum("ij,ij->i", params.weights, xw) + params.biases)
+    p_rows = localized_posterior_rows(q, lattice)
+    # column sums of P, the same sums in the same order as p_rows.sum(axis=0)
+    # without scipy's per-call overhead
+    p = np.bincount(p_rows.indices, weights=p_rows.data, minlength=lattice.num_nodes)
+    rho = leakage.apply_transpose(p)
+    d_win = xw - params.ref_vectors
+    e = (d_win**2).sum(axis=1)
+    dbar = np.bincount(lattice.win_idx.reshape(-1), weights=(rho[:, None] * d_win).reshape(-1),
+                       minlength=lattice.input_size)
+    return Forward(x_windows=xw, q=q, p_rows=p_rows, p=p, rho=rho, d_win=d_win, e=e, dbar=dbar)
+
+
 def compute_D1_D2(
     samples: SampleSet, lattice: Lattice, params: NodeParams, leakage: LeakageMatrix, n: float
 ) -> BoundValue:
@@ -133,21 +175,12 @@ def compute_D1_D2(
     if n < 1:
         raise ValueError("n must be >= 1")
     m = lattice.num_nodes
-    win_flat = lattice.win_idx.reshape(-1)
     d1_acc = 0.0
     d2_acc = 0.0
     for x in samples.vectors:
-        xw = lattice.gather(x)
-        q = activities(x, lattice, params)
-        p_rows = localized_posterior_rows(q, lattice)
-        p = np.asarray(p_rows.sum(axis=0)).reshape(-1)
-        rho = leakage.apply_transpose(p)
-        dwin = xw - params.ref_vectors
-        e = (dwin**2).sum(axis=1)
-        d1_acc += float(rho @ e)
-        dbar = np.zeros(lattice.input_size)
-        np.add.at(dbar, win_flat, (rho[:, None] * dwin).reshape(-1))
-        d2_acc += float(dbar @ dbar)
+        fw = forward(x, lattice, params, leakage)
+        d1_acc += float(fw.rho @ fw.e)
+        d2_acc += float(fw.dbar @ fw.dbar)
     s = samples.size
     d1 = 2.0 / (n * m) * d1_acc / s
     d2 = 2.0 * (n - 1.0) / (n * m * m) * d2_acc / s

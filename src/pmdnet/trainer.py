@@ -158,9 +158,9 @@ def train_step(state: TrainerState, tvec: TrainingVector) -> TrainerState:
     state.params.biases -= rates[0] * grads.bias_total
     state.params.weights -= rates[1] * grads.weight_total
     state.params.ref_vectors -= rates[2] * grads.ref_total
-    if __debug__:
-        for arr in (state.params.biases, state.params.weights, state.params.ref_vectors):
-            assert np.all(np.isfinite(arr)), f"non-finite parameter at step {state.step}"
+    for arr in (state.params.biases, state.params.weights, state.params.ref_vectors):
+        if not np.all(np.isfinite(arr)):
+            raise TrainingDivergedError(f"non-finite parameter at step {state.step}")
     state.rates = rates
     state.diameters = diameters
     state.step += 1
@@ -232,21 +232,8 @@ def dominance(state: TrainerState) -> DominanceProfile:
 
 def _header_dict(state: TrainerState) -> dict:
     return {
-        "lattice": {
-            "node_dims": list(state.lattice_cfg.node_dims),
-            "input_window": list(state.lattice_cfg.input_window),
-            "neighbourhood_window": list(state.lattice_cfg.neighbourhood_window),
-            "leakage_window": list(state.lattice_cfg.leakage_window),
-        },
-        "training": {
-            "kappa": state.tcfg.kappa,
-            "nu": state.tcfg.nu,
-            "s": state.tcfg.s,
-            "n": state.tcfg.n,
-            "epsilon": state.tcfg.epsilon,
-            "seed": state.tcfg.seed,
-            "updates": state.tcfg.updates,
-        },
+        "lattice": dataclasses.asdict(state.lattice_cfg),
+        "training": dataclasses.asdict(state.tcfg),
         "seed_policy": state.seed_policy,
         "step": state.step,
         "rates": [float(v) for v in state.rates],
@@ -296,16 +283,26 @@ def checkpoint_load(path, overrides: dict | None = None) -> TrainerState:
         raise CheckpointError(f"unsupported checkpoint version {version}")
     (header_len,) = struct.unpack_from("<Q", blob, 12)
     header_start = 20
-    header = json.loads(blob[header_start:header_start + header_len].decode("utf-8"))
-
-    lattice_cfg = LatticeConfig(
-        node_dims=tuple(header["lattice"]["node_dims"]),
-        input_window=tuple(header["lattice"]["input_window"]),
-        neighbourhood_window=tuple(header["lattice"]["neighbourhood_window"]),
-        leakage_window=tuple(header["lattice"]["leakage_window"]),
-    )
-    tcfg = TrainingConfig(**header["training"])
-    seed_policy = header["seed_policy"]
+    try:
+        header = json.loads(blob[header_start:header_start + header_len].decode("utf-8"))
+        # the sections hold exactly the config dataclasses' fields
+        lattice_cfg = LatticeConfig(**header["lattice"])
+        tcfg = TrainingConfig(**header["training"])
+        seed_policy = header["seed_policy"]
+        if seed_policy not in ("fresh", "restart"):
+            raise ValueError(f"bad seed_policy {seed_policy!r}")
+        step = int(header["step"])
+        rates = np.array(header["rates"], dtype=float)
+        diameters = np.array(header["diameters"], dtype=float)
+        if step < 0 or rates.shape != (3,) or diameters.shape != (3,):
+            raise ValueError("step must be >= 0 and rates, diameters must hold 3 values")
+        rng_state = header["rng"]
+        if rng_state.get("bit_generator") != "PCG64":
+            raise CheckpointError(f"unsupported RNG {rng_state.get('bit_generator')!r}")
+        data_rng = np.random.Generator(np.random.PCG64())
+        data_rng.bit_generator.state = rng_state
+    except (KeyError, TypeError, ValueError, AttributeError) as exc:
+        raise CheckpointError(f"malformed checkpoint header: {exc!r}") from exc
     if overrides:
         unknown = set(overrides) - OVERRIDABLE_KEYS
         if unknown:
@@ -336,20 +333,13 @@ def checkpoint_load(path, overrides: dict | None = None) -> TrainerState:
         biases=arrays[1],
         ref_vectors=arrays[2].reshape(m, k),
     )
-
-    rng_state = header["rng"]
-    if rng_state.get("bit_generator") != "PCG64":
-        raise CheckpointError(f"unsupported RNG {rng_state.get('bit_generator')!r}")
-    data_rng = np.random.Generator(np.random.PCG64())
-    data_rng.bit_generator.state = rng_state
-
     return TrainerState(
         lattice_cfg=lattice_cfg,
         tcfg=tcfg,
         params=params,
-        step=int(header["step"]),
-        rates=np.array(header["rates"], dtype=float),
-        diameters=np.array(header["diameters"], dtype=float),
+        step=step,
+        rates=rates,
+        diameters=diameters,
         data_rng=data_rng,
         seed_policy=seed_policy,
     )

@@ -14,7 +14,7 @@ from pmdnet.activation import NodeParams, pmd_posterior
 from pmdnet.analytic import SolutionType, optimal_type, solution_value
 from pmdnet.cli import main
 from pmdnet.datagen import TrainingConfig
-from pmdnet.gradients import build_state, f1, f2, finite_difference_check, g1, g2
+from pmdnet.gradients import build_state, finite_difference_check, kernels
 from pmdnet.lattice import LatticeConfig, get_lattice
 from pmdnet.objective import (
     SampleSet,
@@ -250,12 +250,16 @@ def test_criterion_8():
         cfg, params, x = random_instance(rng)
         lat = get_lattice(cfg)
         st = build_state(x, lat, params, lat.leakage)
-        assert np.abs(st.dbar - st.dbar_from_pld).max() <= 1e-12
+        assert np.abs(st.dbar - st.pld.sum(axis=0)).max() <= 1e-12
 
         oq = expanded_quantities(x, cfg, params, 2.0)
         assert np.abs(oq["dbar"] - oq["dbar_alt"]).max() <= 1e-12
+        assert np.abs(st.dbar - oq["dbar"]).max() <= 1e-12 * max(1.0, np.abs(oq["dbar"]).max())
+        f1, f2, g1, g2 = kernels(st)
+        f1 = lat.scatter_rows(f1)
         for y in range(lat.num_nodes):
-            for got, want in ((f1(st, y), oq["f1"][y]), (f2(st, y), oq["f2"][y])):
+            # f2 = rho_y dbar exists only on node y's window
+            for got, want in ((f1[y], oq["f1"][y]), (f2[y], oq["f2"][y][lat.win_idx[y]])):
                 assert np.abs(got - want).max() <= 1e-12 * max(1.0, np.abs(want).max())
-            for got, want in ((g1(st, y), oq["g1"][y]), (g2(st, y), oq["g2"][y])):
+            for got, want in ((g1[y], oq["g1"][y]), (g2[y], oq["g2"][y])):
                 assert abs(got - want) <= 1e-12 * max(1.0, abs(want))

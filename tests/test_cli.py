@@ -14,6 +14,8 @@ from pmdnet.cli import (
     merge_config,
 )
 
+from test_trainer import rewrite_header
+
 TINY_INI = """\
 [lattice]
 node_dims = 1,12
@@ -114,6 +116,22 @@ def test_gradcheck_passes_by_default(capsys):
     out = capsys.readouterr().out
     assert "PASS" in out
     assert "max_rel_error" in out
+
+
+@pytest.mark.parametrize("argv", [
+    ["--seed", "13"],
+    ["--seed", "11", "--override", "lattice.node_dims=4,4",
+     "--override", "lattice.input_window=3,3",
+     "--override", "lattice.neighbourhood_window=3,3",
+     "--override", "lattice.leakage_window=3,3"],
+])
+def test_gradcheck_tolerates_rounding_noise(argv, capsys):
+    # components so small that finite differencing resolves them only to
+    # its rounding error, which a fixed 1e-8 floor used to call a failure
+    assert main(["gradcheck"] + argv) == 0
+    assert "PASS" in capsys.readouterr().out
+    assert main(["gradcheck", "--corrupt"] + argv) == 1
+    assert "FAIL" in capsys.readouterr().out
 
 
 def test_gradcheck_detects_corruption(capsys):
@@ -266,6 +284,31 @@ report_every = 3
 checkpoint_every = 0
 heldout_size = 4
 """.format
+
+
+def test_train_divergence_exits_1(tmp_path, capsys):
+    ini = write_tiny(tmp_path, updates=2)
+    with np.errstate(over="ignore", invalid="ignore"):
+        code = main(["train", "--config", str(ini), "--out-dir", str(tmp_path / "div"),
+                     "--override", "training.epsilon=1e308"])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert [line for line in err.splitlines() if line.startswith("error:")] == [
+        "error: training diverged: non-finite parameter at step 0"]
+
+
+def test_resume_from_malformed_header_exits_2(tmp_path, capsys):
+    ini = write_tiny(tmp_path, updates=0)
+    out = tmp_path / "out"
+    assert main(["train", "--config", str(ini), "--out-dir", str(out)]) == 0
+    bad = tmp_path / "bad.ckpt"
+    bad.write_bytes(rewrite_header((out / "checkpoint_final.ckpt").read_bytes(),
+                                   lambda h: {**h, "lattice": {}}))
+    capsys.readouterr()
+    assert main(["train", "--resume", str(bad), "--out-dir", str(tmp_path / "r")]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith("error: malformed checkpoint header")
 
 
 def test_train_2d_writes_graymap(tmp_path, capsys):

@@ -4,17 +4,7 @@ import numpy as np
 import pytest
 
 from pmdnet.activation import NodeParams
-from pmdnet.gradients import (
-    all_gradients,
-    build_state,
-    f1,
-    f2,
-    finite_difference_check,
-    g1,
-    g2,
-    grad_refvectors,
-    grad_weights_biases,
-)
+from pmdnet.gradients import all_gradients, build_state, finite_difference_check, kernels
 from pmdnet.lattice import LatticeConfig, get_lattice
 from pmdnet.objective import SampleSet
 
@@ -37,7 +27,7 @@ def test_build_state_invariants():
         rows = np.asarray(st.p_rows.sum(axis=1)).reshape(-1)
         assert np.allclose(rows, 1.0, rtol=0, atol=1e-12)
         assert abs(st.p.sum() - lat.num_nodes) <= 1e-12 * lat.num_nodes
-        assert np.allclose(st.dbar, st.dbar_from_pld, rtol=0, atol=1e-12)
+        assert np.allclose(st.dbar, st.pld.sum(axis=0), rtol=0, atol=1e-12)
         assert (st.e >= 0).all()
         # off-window components of the scattered residuals are zero
         mask = np.ones((lat.num_nodes, lat.input_size), dtype=bool)
@@ -55,7 +45,7 @@ def test_state_matches_oracle_fields():
         oq = expanded_quantities(x, cfg, params, 2.0)
         assert np.allclose(st.q, oq["q"], rtol=0, atol=1e-13)
         assert np.allclose(st.p, oq["p"], rtol=0, atol=1e-12)
-        assert np.allclose(st.ltp, oq["rho"], rtol=0, atol=1e-12)
+        assert np.allclose(st.rho, oq["rho"], rtol=0, atol=1e-12)
         assert np.allclose(st.e, oq["e"], rtol=0, atol=1e-12)
         assert np.allclose(st.d, oq["d"], rtol=0, atol=1e-13)
         assert np.allclose(st.dbar, oq["dbar"], rtol=0, atol=1e-12)
@@ -72,11 +62,14 @@ def test_kernels_match_oracle():
         lat = get_lattice(cfg)
         st = build_state(x, lat, params, lat.leakage)
         oq = expanded_quantities(x, cfg, params, 2.0)
+        f1, f2, g1, g2 = kernels(st)
+        f1 = lat.scatter_rows(f1)
         for y in range(lat.num_nodes):
-            assert np.allclose(f1(st, y), oq["f1"][y], rtol=0, atol=1e-12)
-            assert np.allclose(f2(st, y), oq["f2"][y], rtol=0, atol=1e-12)
-            assert abs(g1(st, y) - oq["g1"][y]) <= 1e-12 * max(1.0, abs(oq["g1"][y]))
-            assert abs(g2(st, y) - oq["g2"][y]) <= 1e-12 * max(1.0, abs(oq["g2"][y]))
+            assert np.allclose(f1[y], oq["f1"][y], rtol=0, atol=1e-12)
+            # f2 = rho_y dbar exists only on node y's window
+            assert np.allclose(f2[y], oq["f2"][y][lat.win_idx[y]], rtol=0, atol=1e-12)
+            assert abs(g1[y] - oq["g1"][y]) <= 1e-12 * max(1.0, abs(oq["g1"][y]))
+            assert abs(g2[y] - oq["g2"][y]) <= 1e-12 * max(1.0, abs(oq["g2"][y]))
 
 
 def test_gradient_set_matches_oracle_assembly():
@@ -129,8 +122,9 @@ def test_single_node_degenerate_network():
     assert st.p.tolist() == [1.0]
     assert np.allclose(st.dbar, st.d[0], rtol=0, atol=1e-15)
     # one node cannot move probability mass anywhere: g kernels vanish
-    assert abs(g1(st, 0)) <= 1e-15
-    assert abs(g2(st, 0)) <= 1e-15
+    _, _, g1, g2 = kernels(st)
+    assert abs(g1[0]) <= 1e-15
+    assert abs(g2[0]) <= 1e-15
     gs = all_gradients(SampleSet(vectors=x[None, :]), lat, params, lat.leakage, 2.0)
     assert np.allclose(gs.weight_total, 0.0, rtol=0, atol=1e-15)
     assert np.allclose(gs.bias_total, 0.0, rtol=0, atol=1e-15)
@@ -147,9 +141,10 @@ def test_uniform_activity_full_neighbourhood_unit_mass():
     x = np.zeros(lat.input_size)
     st = build_state(x, lat, params, lat.leakage)
     assert np.allclose(st.p, 1.0, rtol=0, atol=1e-14)
-    assert np.allclose(st.ltp, 1.0, rtol=0, atol=1e-14)
+    assert np.allclose(st.rho, 1.0, rtol=0, atol=1e-14)
+    f1 = lat.scatter_rows(kernels(st)[0])
     for y in range(5):
-        assert np.allclose(f1(st, y), st.d[y], rtol=0, atol=1e-15)
+        assert np.allclose(f1[y], st.d[y], rtol=0, atol=1e-15)
 
 
 def test_perfect_reconstruction_kills_residual_kernels():
@@ -161,14 +156,16 @@ def test_perfect_reconstruction_kills_residual_kernels():
     x = rng.uniform(-1, 1, lat.input_size)
     params.ref_vectors[:] = lat.gather(x)
     st = build_state(x, lat, params, lat.leakage)
+    f1, f2, g1, g2 = kernels(st)
+    assert np.allclose(f1, 0.0, rtol=0, atol=1e-15)
+    assert np.allclose(f2, 0.0, rtol=0, atol=1e-15)
+    assert np.allclose(st.dbar, 0.0, rtol=0, atol=1e-15)
     for y in range(6):
-        assert np.allclose(f1(st, y), 0.0, rtol=0, atol=1e-15)
-        assert np.allclose(f2(st, y), 0.0, rtol=0, atol=1e-15)
-        assert abs(g1(st, y)) <= 1e-15
-        assert abs(g2(st, y)) <= 1e-15
-    gr = grad_refvectors(SampleSet(vectors=x[None, :]), lat, params, lat.leakage, 3.0)
-    assert np.allclose(gr.d1, 0.0, rtol=0, atol=1e-15)
-    assert np.allclose(gr.d2, 0.0, rtol=0, atol=1e-15)
+        assert abs(g1[y]) <= 1e-15
+        assert abs(g2[y]) <= 1e-15
+    gs = all_gradients(SampleSet(vectors=x[None, :]), lat, params, lat.leakage, 3.0)
+    assert np.allclose(gs.ref_d1, 0.0, rtol=0, atol=1e-15)
+    assert np.allclose(gs.ref_d2, 0.0, rtol=0, atol=1e-15)
 
 
 def test_constant_distortion_zeroes_g1():
@@ -184,8 +181,9 @@ def test_constant_distortion_zeroes_g1():
     params.ref_vectors[:] = lat.gather(x) + offset  # e_y = |offset|^2 for all y
     st = build_state(x, lat, params, lat.leakage)
     assert np.ptp(st.e) <= 1e-15
+    g1 = kernels(st)[2]
     for y in range(7):
-        assert abs(g1(st, y)) <= 1e-13
+        assert abs(g1[y]) <= 1e-13
 
 
 def test_n1_removes_coherent_gradients():
@@ -193,11 +191,10 @@ def test_n1_removes_coherent_gradients():
     cfg, params, x = random_instance(rng)
     lat = get_lattice(cfg)
     samples = SampleSet(vectors=x[None, :])
-    gr = grad_refvectors(samples, lat, params, lat.leakage, 1.0)
-    pg = grad_weights_biases(samples, lat, params, lat.leakage, 1.0)
-    assert np.all(gr.d2 == 0.0)
-    assert np.all(pg.bias_d2 == 0.0)
-    assert np.all(pg.weight_d2 == 0.0)
+    gs = all_gradients(samples, lat, params, lat.leakage, 1.0)
+    assert np.all(gs.ref_d2 == 0.0)
+    assert np.all(gs.bias_d2 == 0.0)
+    assert np.all(gs.weight_d2 == 0.0)
 
 
 def test_finite_difference_check_passes():

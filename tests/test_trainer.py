@@ -1,6 +1,8 @@
 """Online trainer: rate adaptation, determinism, checkpoint format."""
 
+import dataclasses
 import hashlib
+import json
 import struct
 
 import numpy as np
@@ -211,6 +213,14 @@ def test_divergence_is_reported():
         run_training(st, 1)
 
 
+def test_non_finite_parameter_is_reported():
+    # finite gradients, but a rate so large that the update overflows
+    st = new_state(SMALL_CFG, dataclasses.replace(SMALL_TC, epsilon=1e308))
+    with np.errstate(over="ignore", invalid="ignore"), \
+            pytest.raises(TrainingDivergedError, match="non-finite parameter"):
+        run_training(st, 1)
+
+
 def test_objective_improves_on_small_run():
     wins = 0
     for seed in (0, 1, 2):
@@ -312,3 +322,72 @@ def test_checkpoint_corruption_detected(tmp_path):
     bad.write_bytes(body + hashlib.sha256(body).digest())
     with pytest.raises(CheckpointError):
         checkpoint_load(bad)
+
+
+def rewrite_header(blob: bytes, edit) -> bytes:
+    """The checkpoint with its JSON header passed through edit, length and
+    checksum repaired, so only the header content is wrong."""
+    (header_len,) = struct.unpack_from("<Q", blob, 12)
+    header = json.loads(blob[20:20 + header_len])
+    text = edit(header)
+    new_header = (text if isinstance(text, bytes) else json.dumps(text).encode())
+    body = blob[:12] + struct.pack("<Q", len(new_header)) + new_header + blob[20 + header_len:-32]
+    return body + hashlib.sha256(body).digest()
+
+
+def test_checkpoint_header_follows_config_fields(tmp_path):
+    p = tmp_path / "h.ckpt"
+    checkpoint_save(new_state(SMALL_CFG, SMALL_TC), p)
+    blob = p.read_bytes()
+    (header_len,) = struct.unpack_from("<Q", blob, 12)
+    header = json.loads(blob[20:20 + header_len])
+    assert set(header["lattice"]) == {f.name for f in dataclasses.fields(LatticeConfig)}
+    assert set(header["training"]) == {f.name for f in dataclasses.fields(TrainingConfig)}
+    assert rewrite_header(blob, lambda h: h) == blob
+
+
+def test_checkpoint_rejects_malformed_header(tmp_path):
+    p = tmp_path / "m.ckpt"
+    checkpoint_save(run_training(new_state(SMALL_CFG, SMALL_TC), 2), p)
+    blob = p.read_bytes()
+
+    def drop(section, key):
+        def edit(h):
+            del h[section][key]
+            return h
+        return edit
+
+    def put(path, value):
+        def edit(h):
+            target = h
+            for key in path[:-1]:
+                target = target[key]
+            target[path[-1]] = value
+            return h
+        return edit
+
+    edits = [
+        drop("lattice", "node_dims"),
+        drop("training", "kappa"),
+        put(["lattice", "node_dims"], "1,12"),
+        put(["lattice", "extra"], [1, 1]),
+        put(["training", "kappa"], "fast"),
+        put(["training", "n"], None),
+        put(["training"], [1, 2]),
+        put(["seed_policy"], 7),
+        put(["step"], "two"),
+        put(["rates"], {"a": 1}),
+        put(["rates"], [1.0]),
+        put(["diameters"], [[1.0, 2.0], [3.0, 4.0]]),
+        put(["step"], -5),
+        put(["rng"], "PCG64"),
+        put(["rng", "state"], None),
+        lambda h: [h],
+        lambda h: b"{not json",
+        lambda h: b"\xff\xfe",
+    ]
+    bad = tmp_path / "bad.ckpt"
+    for edit in edits:
+        bad.write_bytes(rewrite_header(blob, edit))
+        with pytest.raises(CheckpointError):
+            checkpoint_load(bad)
