@@ -129,17 +129,24 @@ def localized_posterior(q: np.ndarray, cfg, y_prime: NodeIndex) -> dict[NodeInde
     return {lat.coords(z): float(q[z] / total) for z in row}
 
 
+def localized_posterior_entries(q: np.ndarray, lattice: Lattice) -> np.ndarray:
+    """The entries of P in the lattice's neighbourhood layout: entry j is
+    Pr(nbr_indices[j] | x; nbr_rows[j]).  Each entry is one quotient
+    Q / denom, so it stays in [0, 1] even where the activities are
+    subnormal and 1 / denom would overflow."""
+    q = np.asarray(q, dtype=float)
+    return q[lattice.nbr_indices] / window_denominators(q, lattice)[lattice.nbr_rows]
+
+
 def localized_posterior_rows(q: np.ndarray, lattice):
     """All localized posteriors as a sparse CSR matrix P with
     P[y', y] = Pr(y|x; y') on row support N(y').  Rows sum to 1."""
     from scipy import sparse
 
     lat = _as_lattice(lattice)
-    denom = window_denominators(q, lat)
-    counts = np.diff(lat.nbr_indptr)
-    data = np.asarray(q, dtype=float)[lat.nbr_indices] / np.repeat(denom, counts)
     return sparse.csr_array(
-        (data, lat.nbr_indices, lat.nbr_indptr), shape=(lat.num_nodes, lat.num_nodes)
+        (localized_posterior_entries(q, lat), lat.nbr_indices, lat.nbr_indptr),
+        shape=(lat.num_nodes, lat.num_nodes),
     )
 
 
@@ -151,9 +158,8 @@ def pmd_posterior(q: np.ndarray, cfg) -> np.ndarray:
     contributes total mass 1 and there are M of them.
     """
     lat = _as_lattice(cfg)
-    p_rows = localized_posterior_rows(q, lat)
-    column_mass = p_rows.sum(axis=0)
-    return np.asarray(column_mass).reshape(-1) / lat.num_nodes
+    post = localized_posterior_entries(q, lat)
+    return np.bincount(lat.nbr_indices, weights=post, minlength=lat.num_nodes) / lat.num_nodes
 
 
 def apply_leakage(post: np.ndarray, leakage: LeakageMatrix) -> np.ndarray:

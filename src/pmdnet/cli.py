@@ -19,6 +19,7 @@ import argparse
 import configparser
 import copy
 import csv
+import dataclasses
 import hashlib
 import math
 import os
@@ -237,8 +238,60 @@ def _write_pgm(path: str, values: np.ndarray) -> None:
         fh.write(scaled.tobytes())
 
 
+# A checkpoint fixes the lattice and the training config.  A resumed run may
+# still set how long it goes and how it steps (and anything under [run]);
+# these map those settings onto checkpoint_load's overrides.
+RESUME_SETTINGS = {"training.updates": "updates", "training.epsilon": "epsilon",
+                   "run.seed_policy": "seed_policy"}
+
+
+def _resume(path: str, file_dict: dict | None, overrides: list[str], seed: int | None,
+            rc: RunConfig) -> TrainerState:
+    """Load a checkpoint with the resume settings that were given.
+
+    Any other [lattice] or [training] setting that was given (config file,
+    --override or --seed) must equal the checkpoint's; one that differs is
+    a ConfigError, because the run would otherwise ignore it.
+    """
+    given = {f"{section}.{key}" for section, items in (file_dict or {}).items() for key in items}
+    given |= {item.partition("=")[0] for item in overrides}
+    if seed is not None:
+        given.add("training.seed")
+    values = {"updates": rc.training.updates, "epsilon": rc.training.epsilon,
+              "seed_policy": rc.seed_policy}
+    ck_overrides = {key: values[key] for setting, key in RESUME_SETTINGS.items() if setting in given}
+    state = checkpoint_load(path, ck_overrides or None)
+    sections = {"lattice": (rc.lattice, state.lattice_cfg), "training": (rc.training, state.tcfg)}
+    changed = []
+    for setting in sorted(given - RESUME_SETTINGS.keys()):
+        section, _, key = setting.partition(".")
+        if section in sections:
+            wanted, kept = sections[section]
+            if getattr(wanted, key) != getattr(kept, key):
+                changed.append(setting)
+    if changed:
+        raise ConfigError(f"a resumed run keeps the checkpoint's lattice and training settings; "
+                          f"cannot change {', '.join(changed)}")
+    return state
+
+
+def _effective_config(merged: dict, state: TrainerState) -> dict[str, dict[str, str]]:
+    """merged with the lattice, training and seed policy a resumed run uses,
+    each value written as the CLI defaults write it."""
+    def text(value) -> str:
+        return ",".join(str(v) for v in value) if isinstance(value, tuple) else repr(value)
+
+    out = copy.deepcopy(merged)
+    for section, cfg in (("lattice", state.lattice_cfg), ("training", state.tcfg)):
+        out[section] = {key: text(value) for key, value in dataclasses.asdict(cfg).items()}
+    out["run"]["seed_policy"] = state.seed_policy
+    return out
+
+
 def cmd_train(args) -> int:
-    rc = load_run_config(args.config, args.override, args.seed)
+    file_dict = _read_config_file(args.config) if args.config else None
+    merged = merge_config(file_dict, args.override, args.seed)
+    rc = build_run_config(merged)
     if args.report_every is not None:
         rc.report_every = args.report_every
     if args.checkpoint_every is not None:
@@ -246,21 +299,15 @@ def cmd_train(args) -> int:
     if args.channel is not None:
         rc.channel = args.channel
 
-    for warning in validate_kappa(rc.training, rc.lattice):
-        print(f"warning: {warning}", file=sys.stderr)
-
     if args.resume:
-        ck_overrides = {}
-        # pass the two supported checkpoint overrides through when given
-        for item in args.override:
-            head, _, value = item.partition("=")
-            if head == "training.epsilon":
-                ck_overrides["epsilon"] = float(value)
-            elif head == "run.seed_policy":
-                ck_overrides["seed_policy"] = value
-        state = checkpoint_load(args.resume, ck_overrides or None)
+        state = _resume(args.resume, file_dict, args.override, args.seed, rc)
+        rc.lattice, rc.training, rc.seed_policy = state.lattice_cfg, state.tcfg, state.seed_policy
+        rc.cfg_hash = config_hash(_effective_config(merged, state))
     else:
         state = new_state(rc.lattice, rc.training, rc.seed_policy)
+
+    for warning in validate_kappa(rc.training, rc.lattice):
+        print(f"warning: {warning}", file=sys.stderr)
 
     target = state.tcfg.updates
     remaining = max(0, target - state.step)

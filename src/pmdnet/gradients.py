@@ -2,11 +2,11 @@
 
 Per input vector, build_state takes the objective's own forward pass
 (activities, localized posteriors, leaked weights, windowed residuals and
-the coherent residual dbar) and adds the leakage-smoothed quantities that
-the derivative formulas need.  kernels() turns one state into the
-per-node kernels; gradient_set_from_states averages them over samples and
-applies the coefficients.  All neighbourhood sums run over the truncated
-sets from the lattice module with a single dummy index; the
+the coherent residual dbar) and adds the leakage-smoothed per-node
+quantities that the derivative formulas need.  kernels() turns one state
+into the per-node kernels; gradient_set_from_states averages them over
+samples and applies the coefficients.  All neighbourhood sums run over the
+truncated sets from the lattice module with a single dummy index; the
 quadruple-sum expansions exist only in the test suite as an independent
 oracle.
 
@@ -18,7 +18,13 @@ Derivatives (empirical average over samples, windowed):
     dD2/d(b, w)(y) = (4 (n-1) / (n M^2)) < g2 (1 - Q) (1, x_win) >
 
 with f1 = rho_y d_y, f2 = rho_y dbar, g1 = p_y (L e)_y - (P^T P L e)_y and
-g2 = (p_y (L d)_y - (P^T P L d)_y) . dbar.
+g2 = (p_y (L d)_y - (P^T P L d)_y) . dbar.  The coherent kernel is linear
+in the residuals d, so the dot product with dbar can be taken first:
+
+    g2 = p_y (L h)_y - (P^T P L h)_y,    h_y = d_y . dbar,
+
+which has the form of g1 with e replaced by h.  Every per-sample array is
+therefore windowed (M, K) or per node (M,); only dbar spans the input.
 """
 
 from __future__ import annotations
@@ -34,33 +40,40 @@ from .objective import Forward, SampleSet, compute_D1_D2, forward
 
 @dataclass
 class ActivationState(Forward):
-    """One input's forward pass plus the derivative pieces.
+    """One input's forward pass plus the derivative pieces, all per node.
 
-    d holds the full-dimensional residuals x - x'(y), zero off-window; le
-    and ld are the leakage-smoothed distortions and residuals, pld = P L d,
-    and ptple, ptpld apply P^T P to L e and L d.
+    le and lh are the leakage-smoothed distortions L e and L h, with
+    h_y = d_y . dbar the residual of node y projected on the coherent
+    residual; ptple and ptplh apply P^T P to them.
     """
 
     lattice: Lattice
-    d: np.ndarray
     le: np.ndarray
-    ld: np.ndarray
-    pld: np.ndarray
+    lh: np.ndarray
     ptple: np.ndarray
-    ptpld: np.ndarray
+    ptplh: np.ndarray
+
+
+def _ptp(post: np.ndarray, lattice: Lattice, v: np.ndarray) -> np.ndarray:
+    """P^T P v for P given by its entries in the neighbourhood layout.
+
+    Each bincount adds in the order of the matching scipy CSR (P v) or
+    CSC (P^T u) product."""
+    rows, cols, m = lattice.nbr_rows, lattice.nbr_indices, lattice.num_nodes
+    pv = np.bincount(rows, weights=post * v[cols], minlength=m)
+    return np.bincount(cols, weights=post * pv[rows], minlength=m)
 
 
 def build_state(x: np.ndarray, lattice: Lattice, params: NodeParams, leakage: LeakageMatrix) -> ActivationState:
     """Evaluate and cache everything the derivative formulas need for one
     input vector."""
     fw = forward(x, lattice, params, leakage)
-    d = lattice.scatter_rows(fw.d_win)
+    h = np.einsum("ij,ij->i", fw.d_win, fw.dbar[lattice.win_idx])
     le = leakage.apply(fw.e)
-    ld = leakage.apply(d)
-    pld = fw.p_rows @ ld
+    lh = leakage.apply(h)
     return ActivationState(
-        **vars(fw), lattice=lattice, d=d, le=le, ld=ld, pld=pld,
-        ptple=fw.p_rows.T @ (fw.p_rows @ le), ptpld=fw.p_rows.T @ pld,
+        **vars(fw), lattice=lattice, le=le, lh=lh,
+        ptple=_ptp(fw.post, lattice, le), ptplh=_ptp(fw.post, lattice, lh),
     )
 
 
@@ -106,33 +119,31 @@ def kernels(state: ActivationState):
     f1 = state.rho[:, None] * state.d_win
     f2 = state.rho[:, None] * state.dbar[state.lattice.win_idx]
     g1 = state.p * state.le - state.ptple
-    g2 = (state.p[:, None] * state.ld - state.ptpld) @ state.dbar
+    g2 = state.p * state.lh - state.ptplh
     return f1, f2, g1, g2
 
 
 def gradient_set_from_states(states, lattice: Lattice, n: float) -> GradientSet:
     """Average the per-sample kernels and apply the derivative coefficients."""
-    m = lattice.num_nodes
-    k = lattice.window_len
-    acc_f1 = np.zeros((m, k))
-    acc_f2 = np.zeros((m, k))
-    acc_g1b = np.zeros(m)
-    acc_g2b = np.zeros(m)
-    acc_g1w = np.zeros((m, k))
-    acc_g2w = np.zeros((m, k))
+    acc = None
     count = 0
     for state in states:
         f1, f2, g1, g2 = kernels(state)
         sig = 1.0 - state.q
         g1v = g1 * sig
         g2v = g2 * sig
-        acc_f1 += f1
-        acc_f2 += f2
-        acc_g1b += g1v
-        acc_g2b += g2v
-        acc_g1w += g1v[:, None] * state.x_windows
-        acc_g2w += g2v[:, None] * state.x_windows
+        terms = (f1, f2, g1v, g2v, g1v[:, None] * state.x_windows, g2v[:, None] * state.x_windows)
+        if acc is None:
+            # the first sample's terms start the sums (0 + x is exact)
+            acc = terms
+        else:
+            for total, term in zip(acc, terms):
+                total += term
         count += 1
+    if acc is None:
+        raise ValueError("gradients need at least one sample")
+    acc_f1, acc_f2, acc_g1b, acc_g2b, acc_g1w, acc_g2w = acc
+    m = lattice.num_nodes
     c_ref1 = -4.0 / (n * m) / count
     c_ref2 = -4.0 * (n - 1.0) / (n * m * m) / count
     c_prob1 = 2.0 / (n * m) / count

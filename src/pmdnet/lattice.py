@@ -135,11 +135,13 @@ class LeakageMatrix:
     """Row-stochastic leakage: matrix[y, y'] = Pr(y' | y).
 
     Rows are uniform over the truncated leakage window around y and
-    renormalised to sum to 1.  Stored sparsely (CSR) over the window.
+    renormalised to sum to 1.  Stored sparsely (CSR) over the window, with
+    the transpose kept as its own CSR so that L^T is not rebuilt per call.
     """
 
     matrix: sparse.csr_array
     window: tuple[int, int]
+    transpose: sparse.csr_array
 
     @property
     def num_nodes(self) -> int:
@@ -151,7 +153,7 @@ class LeakageMatrix:
 
     def apply_transpose(self, v: np.ndarray) -> np.ndarray:
         """(L^T v)_y = sum_y' L[y', y] v[y']."""
-        return self.matrix.T @ v
+        return self.transpose @ v
 
     def to_dense(self) -> np.ndarray:
         return self.matrix.toarray()
@@ -185,7 +187,9 @@ def build_leakage(cfg: LatticeConfig) -> LeakageMatrix:
     counts = np.diff(indptr)
     data = np.repeat(1.0 / counts, counts)
     m = sparse.csr_array((data, indices, indptr), shape=(cfg.num_nodes, cfg.num_nodes))
-    return LeakageMatrix(matrix=m, window=cfg.leakage_window)
+    # CSR of L^T sums each output over y' in increasing order, as the CSC
+    # product m.T @ v does, so apply_transpose gives the same bits
+    return LeakageMatrix(matrix=m, window=cfg.leakage_window, transpose=m.T.tocsr())
 
 
 class Lattice:
@@ -199,6 +203,7 @@ class Lattice:
         num_nodes    M
         nbr_indptr, nbr_indices
                      CSR layout of neighbourhood rows (row y' = N(y'))
+        nbr_rows     the row y' of every entry of that layout
         nbr_matrix   0/1 CSR over that layout (window sums are nbr_matrix @ v)
         win_idx      (M, K) flat indices of each node's input window,
                      K = i1 * i2
@@ -210,6 +215,7 @@ class Lattice:
         self.num_nodes = cfg.num_nodes
         m1, m2 = cfg.node_dims
         self.nbr_indptr, self.nbr_indices = _window_csr(cfg.node_dims, cfg.neighbourhood_window)
+        self.nbr_rows = np.repeat(np.arange(self.num_nodes), np.diff(self.nbr_indptr))
         ones = np.ones(len(self.nbr_indices))
         self.nbr_matrix = sparse.csr_array(
             (ones, self.nbr_indices, self.nbr_indptr), shape=(self.num_nodes, self.num_nodes)

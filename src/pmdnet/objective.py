@@ -19,9 +19,8 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
-from scipy import sparse
 
-from .activation import NodeParams, localized_posterior_rows, stable_sigmoid
+from .activation import NodeParams, localized_posterior_entries, stable_sigmoid
 from .lattice import Lattice, LeakageMatrix
 
 ENUMERATION_GUARD = 1_000_000
@@ -129,8 +128,10 @@ class Forward:
 
     x_windows  (M, K) the input restricted to each node's window
     q          (M,) sigmoid activities
-    p_rows     (M, M) sparse localized posteriors, row y' supported on N(y')
-    p          (M,) column sums of p_rows: the mass node y collects
+    post       (nnz,) the localized posteriors P[y', y] = Pr(y|x; y'), in
+               the lattice's neighbourhood layout (row nbr_rows[j], column
+               nbr_indices[j]); P is never built as a matrix
+    p          (M,) column sums of P: the mass node y collects
     rho        (M,) leaked weights L^T p
     d_win      (M, K) windowed residuals x - x'(y)
     e          (M,) squared residual norms
@@ -139,7 +140,7 @@ class Forward:
 
     x_windows: np.ndarray
     q: np.ndarray
-    p_rows: sparse.csr_array
+    post: np.ndarray
     p: np.ndarray
     rho: np.ndarray
     d_win: np.ndarray
@@ -151,16 +152,15 @@ def forward(x: np.ndarray, lattice: Lattice, params: NodeParams, leakage: Leakag
     """Activities, posterior, leaked weights and residuals for one input."""
     xw = lattice.gather(x)
     q = stable_sigmoid(np.einsum("ij,ij->i", params.weights, xw) + params.biases)
-    p_rows = localized_posterior_rows(q, lattice)
-    # column sums of P, the same sums in the same order as p_rows.sum(axis=0)
-    # without scipy's per-call overhead
-    p = np.bincount(p_rows.indices, weights=p_rows.data, minlength=lattice.num_nodes)
+    post = localized_posterior_entries(q, lattice)
+    # column sums of P, added in the same order as a CSR column sum
+    p = np.bincount(lattice.nbr_indices, weights=post, minlength=lattice.num_nodes)
     rho = leakage.apply_transpose(p)
     d_win = xw - params.ref_vectors
     e = (d_win**2).sum(axis=1)
     dbar = np.bincount(lattice.win_idx.reshape(-1), weights=(rho[:, None] * d_win).reshape(-1),
                        minlength=lattice.input_size)
-    return Forward(x_windows=xw, q=q, p_rows=p_rows, p=p, rho=rho, d_win=d_win, e=e, dbar=dbar)
+    return Forward(x_windows=xw, q=q, post=post, p=p, rho=rho, d_win=d_win, e=e, dbar=dbar)
 
 
 def compute_D1_D2(

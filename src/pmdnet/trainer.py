@@ -13,9 +13,11 @@ from a checkpoint reproduces the uninterrupted run exactly.
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
 import hashlib
 import json
+import os
 import struct
 from dataclasses import dataclass
 
@@ -33,7 +35,7 @@ GRAD_MEAN_EPS = 1e-12
 
 CHECKPOINT_MAGIC = b"PMDNETC1"
 CHECKPOINT_VERSION = 1
-OVERRIDABLE_KEYS = frozenset({"epsilon", "seed_policy"})
+OVERRIDABLE_KEYS = frozenset({"updates", "epsilon", "seed_policy"})
 
 
 class CheckpointError(RuntimeError):
@@ -142,7 +144,9 @@ def adapt_rates(params: NodeParams, grads: GradientSet, epsilon: float) -> tuple
     for i, name in enumerate(PARAM_TYPES):
         values, grad = by_type[name]
         diameters[i] = _spread(values)
-        rates[i] = epsilon * diameters[i] / (float(np.abs(grad).mean()) + GRAD_MEAN_EPS)
+        # a huge epsilon overflows to inf here; train_step reports that
+        with np.errstate(over="ignore"):
+            rates[i] = epsilon * diameters[i] / (float(np.abs(grad).mean()) + GRAD_MEAN_EPS)
     return rates, diameters
 
 
@@ -155,9 +159,13 @@ def train_step(state: TrainerState, tvec: TrainingVector) -> TrainerState:
     if not grads.all_finite():
         raise TrainingDivergedError(f"non-finite gradient at step {state.step}")
     rates, diameters = adapt_rates(state.params, grads, state.tcfg.epsilon)
-    state.params.biases -= rates[0] * grads.bias_total
-    state.params.weights -= rates[1] * grads.weight_total
-    state.params.ref_vectors -= rates[2] * grads.ref_total
+    if not np.all(np.isfinite(rates)):
+        raise TrainingDivergedError(f"non-finite update rate at step {state.step}")
+    # an overflowing update is reported by the check below, not as a warning
+    with np.errstate(over="ignore", invalid="ignore"):
+        state.params.biases -= rates[0] * grads.bias_total
+        state.params.weights -= rates[1] * grads.weight_total
+        state.params.ref_vectors -= rates[2] * grads.ref_total
     for arr in (state.params.biases, state.params.weights, state.params.ref_vectors):
         if not np.all(np.isfinite(arr)):
             raise TrainingDivergedError(f"non-finite parameter at step {state.step}")
@@ -259,15 +267,24 @@ def checkpoint_save(state: TrainerState, path) -> None:
     for arr in (state.params.weights, state.params.biases, state.params.ref_vectors):
         blob += np.ascontiguousarray(arr, dtype="<f8").tobytes()
     blob += hashlib.sha256(bytes(blob)).digest()
-    with open(path, "wb") as fh:
-        fh.write(bytes(blob))
+    # write a temporary file beside the target and rename it over the
+    # target, so a failed write never leaves a truncated checkpoint behind
+    tmp = os.fspath(path) + ".tmp"
+    try:
+        with open(tmp, "wb") as fh:
+            fh.write(bytes(blob))
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(FileNotFoundError):
+            os.unlink(tmp)
+        raise
 
 
 def checkpoint_load(path, overrides: dict | None = None) -> TrainerState:
     """Restore a TrainerState; load(save(state)) is bit-identical.
 
-    `overrides` may change epsilon or seed_policy only (resuming a run with
-    a new update parameter is the supported workflow).
+    `overrides` may change updates, epsilon or seed_policy only: how long
+    the run goes and how it steps, not what the model is.
     """
     with open(path, "rb") as fh:
         blob = fh.read()
@@ -307,6 +324,8 @@ def checkpoint_load(path, overrides: dict | None = None) -> TrainerState:
         unknown = set(overrides) - OVERRIDABLE_KEYS
         if unknown:
             raise ValueError(f"only {sorted(OVERRIDABLE_KEYS)} may be overridden, got {sorted(unknown)}")
+        if "updates" in overrides:
+            tcfg = dataclasses.replace(tcfg, updates=int(overrides["updates"]))
         if "epsilon" in overrides:
             tcfg = dataclasses.replace(tcfg, epsilon=float(overrides["epsilon"]))
         if "seed_policy" in overrides:

@@ -10,7 +10,7 @@ import time
 import numpy as np
 import pytest
 
-from pmdnet.activation import NodeParams, pmd_posterior
+from pmdnet.activation import NodeParams, localized_posterior_rows, pmd_posterior
 from pmdnet.analytic import SolutionType, optimal_type, solution_value
 from pmdnet.cli import main
 from pmdnet.datagen import TrainingConfig
@@ -250,7 +250,10 @@ def test_criterion_8():
         cfg, params, x = random_instance(rng)
         lat = get_lattice(cfg)
         st = build_state(x, lat, params, lat.leakage)
-        assert np.abs(st.dbar - st.pld.sum(axis=0)).max() <= 1e-12
+        # second rendering: the column sums of P L d, with P and d built
+        # here in full because the state keeps neither
+        pld = localized_posterior_rows(st.q, lat) @ lat.leakage.apply(lat.scatter_rows(st.d_win))
+        assert np.abs(st.dbar - pld.sum(axis=0)).max() <= 1e-12
 
         oq = expanded_quantities(x, cfg, params, 2.0)
         assert np.abs(oq["dbar"] - oq["dbar_alt"]).max() <= 1e-12

@@ -14,6 +14,8 @@ from pmdnet.cli import (
     merge_config,
 )
 
+from pmdnet.trainer import checkpoint_load
+
 from test_trainer import rewrite_header
 
 TINY_INI = """\
@@ -51,6 +53,10 @@ def read_csv(path):
     header = lines[1].split(",")
     rows = [line.split(",") for line in lines[2:]]
     return header, rows
+
+
+def csv_hash(path):
+    return path.read_text().splitlines()[0]
 
 
 def test_merge_config_defaults_and_overrides():
@@ -251,6 +257,64 @@ def test_train_resume_matches_uninterrupted(tmp_path, capsys):
     assert a == b
 
 
+def test_resume_applies_run_length_and_epsilon_overrides(tmp_path, capsys):
+    ini = write_tiny(tmp_path)
+    full = tmp_path / "full"
+    assert main(["train", "--config", str(ini), "--out-dir", str(full)]) == 0
+    hash_full = csv_hash(full / "objective_trace.csv")
+    longer = tmp_path / "longer"
+    assert main(["train", "--resume", str(full / "checkpoint_000020.ckpt"),
+                 "--config", str(ini), "--out-dir", str(longer), "--override", "training.updates=50",
+                 "--override", "training.epsilon=0.02"]) == 0
+    assert "finished at step 50" in capsys.readouterr().out
+    st = checkpoint_load(longer / "checkpoint_final.ckpt")
+    assert st.step == 50 and st.tcfg.updates == 50 and st.tcfg.epsilon == 0.02
+    assert st.tcfg.kappa == checkpoint_load(full / "checkpoint_final.ckpt").tcfg.kappa
+    # the CSVs carry the hash of the config that ran: the checkpoint's
+    # lattice and training settings with the two overrides applied
+    hash_longer = csv_hash(longer / "objective_trace.csv")
+    assert hash_longer != hash_full
+    ref = tmp_path / "ref"
+    assert main(["train", "--config", str(ini), "--out-dir", str(ref), "--override",
+                 "training.updates=50", "--override", "training.epsilon=0.02"]) == 0
+    capsys.readouterr()
+    assert csv_hash(ref / "objective_trace.csv") == hash_longer
+
+
+def test_resume_without_overrides_keeps_the_run_hash(tmp_path, capsys):
+    ini = write_tiny(tmp_path)
+    full = tmp_path / "full"
+    assert main(["train", "--config", str(ini), "--out-dir", str(full)]) == 0
+    # the same config file again: its lattice and training settings equal
+    # the checkpoint's, and its run settings make the run the same run
+    resumed = tmp_path / "resumed"
+    assert main(["train", "--resume", str(full / "checkpoint_000020.ckpt"),
+                 "--config", str(ini), "--out-dir", str(resumed)]) == 0
+    capsys.readouterr()
+    assert (full / "checkpoint_final.ckpt").read_bytes() == (resumed / "checkpoint_final.ckpt").read_bytes()
+    assert (csv_hash(resumed / "objective_trace.csv")
+            == csv_hash(full / "objective_trace.csv"))
+
+
+@pytest.mark.parametrize("extra", [
+    ["--override", "training.kappa=0.9"],
+    ["--override", "training.kappa=0.9", "--override", "training.updates=40"],
+    ["--override", "lattice.node_dims=1,20"],
+    ["--seed", "5"],
+])
+def test_resume_rejects_model_overrides(tmp_path, capsys, extra):
+    ini = write_tiny(tmp_path, updates=0)
+    out = tmp_path / "out"
+    assert main(["train", "--config", str(ini), "--out-dir", str(out)]) == 0
+    capsys.readouterr()
+    resumed = tmp_path / "resumed"
+    assert main(["train", "--resume", str(out / "checkpoint_final.ckpt"), "--config", str(ini),
+                 "--out-dir", str(resumed)] + extra) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith("error: a resumed run keeps")
+    assert not resumed.exists()
+
+
 def test_train_outputs_are_deterministic(tmp_path, capsys):
     ini = write_tiny(tmp_path)
     outs = []
@@ -287,15 +351,14 @@ heldout_size = 4
 
 
 def test_train_divergence_exits_1(tmp_path, capsys):
+    # the rate epsilon * spread / mean|grad| overflows at once; that is one
+    # error line, with no numpy warning ahead of it
     ini = write_tiny(tmp_path, updates=2)
-    with np.errstate(over="ignore", invalid="ignore"):
-        code = main(["train", "--config", str(ini), "--out-dir", str(tmp_path / "div"),
-                     "--override", "training.epsilon=1e308"])
+    code = main(["train", "--config", str(ini), "--out-dir", str(tmp_path / "div"),
+                 "--override", "training.epsilon=1e308"])
     assert code == 1
-    err = capsys.readouterr().err
-    assert "Traceback" not in err
-    assert [line for line in err.splitlines() if line.startswith("error:")] == [
-        "error: training diverged: non-finite parameter at step 0"]
+    assert capsys.readouterr().err.splitlines() == [
+        "error: training diverged: non-finite update rate at step 0"]
 
 
 def test_resume_from_malformed_header_exits_2(tmp_path, capsys):

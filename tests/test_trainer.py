@@ -213,11 +213,22 @@ def test_divergence_is_reported():
         run_training(st, 1)
 
 
-def test_non_finite_parameter_is_reported():
-    # finite gradients, but a rate so large that the update overflows
+def test_non_finite_update_rate_is_reported():
+    # epsilon * spread / mean|grad| overflows: one typed error, no warning
     st = new_state(SMALL_CFG, dataclasses.replace(SMALL_TC, epsilon=1e308))
-    with np.errstate(over="ignore", invalid="ignore"), \
-            pytest.raises(TrainingDivergedError, match="non-finite parameter"):
+    with pytest.raises(TrainingDivergedError, match="non-finite update rate at step 0"):
+        run_training(st, 1)
+
+
+def test_non_finite_parameter_is_reported(monkeypatch):
+    # finite gradients and finite rates, but a rate so large that the update
+    # overflows: refs 30 away from the data give |ref gradient| > 1, and the
+    # largest finite rate times that is inf
+    monkeypatch.setattr("pmdnet.trainer.adapt_rates",
+                        lambda params, grads, eps: (np.full(3, np.finfo(float).max), np.ones(3)))
+    st = new_state(SMALL_CFG, SMALL_TC)
+    st.params.ref_vectors[:] = 30.0
+    with pytest.raises(TrainingDivergedError, match="non-finite parameter"):
         run_training(st, 1)
 
 
@@ -333,6 +344,37 @@ def rewrite_header(blob: bytes, edit) -> bytes:
     new_header = (text if isinstance(text, bytes) else json.dumps(text).encode())
     body = blob[:12] + struct.pack("<Q", len(new_header)) + new_header + blob[20 + header_len:-32]
     return body + hashlib.sha256(body).digest()
+
+
+def test_failed_checkpoint_write_keeps_the_old_checkpoint(tmp_path, monkeypatch):
+    p = tmp_path / "w.ckpt"
+    checkpoint_save(run_training(new_state(SMALL_CFG, SMALL_TC), 2), p)
+    before = p.read_bytes()
+
+    class FullDisk:
+        """A file that takes half of what it is given, then fails."""
+
+        def __init__(self, fh):
+            self.fh = fh
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            self.fh.close()
+
+        def write(self, data):
+            self.fh.write(data[:len(data) // 2])
+            raise OSError(28, "No space left on device")
+
+    monkeypatch.setattr("pmdnet.trainer.open", lambda *a, **k: FullDisk(open(*a, **k)),
+                        raising=False)
+    with pytest.raises(OSError, match="No space left"):
+        checkpoint_save(run_training(new_state(SMALL_CFG, SMALL_TC), 4), p)
+    monkeypatch.undo()
+    assert p.read_bytes() == before
+    assert checkpoint_load(p).step == 2
+    assert sorted(f.name for f in tmp_path.iterdir()) == ["w.ckpt"]
 
 
 def test_checkpoint_header_follows_config_fields(tmp_path):
