@@ -61,11 +61,9 @@ class NodeParams:
 def stable_sigmoid(z):
     """1 / (1 + exp(-z)) without overflow for large |z|."""
     z = np.asarray(z, dtype=float)
-    out = np.empty_like(z)
-    pos = z >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
-    ez = np.exp(z[~pos])
-    out[~pos] = ez / (1.0 + ez)
+    # exp(-|z|) <= 1 is exp(-z) on z >= 0 and exp(z) below it
+    e = np.exp(-np.abs(z))
+    out = np.where(z >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
     return out if out.ndim else float(out)
 
 
@@ -158,8 +156,7 @@ def pmd_posterior(q: np.ndarray, cfg) -> np.ndarray:
     contributes total mass 1 and there are M of them.
     """
     lat = _as_lattice(cfg)
-    post = localized_posterior_entries(q, lat)
-    return np.bincount(lat.nbr_indices, weights=post, minlength=lat.num_nodes) / lat.num_nodes
+    return lat.nbr_col_sum(localized_posterior_entries(q, lat)) / lat.num_nodes
 
 
 def apply_leakage(post: np.ndarray, leakage: LeakageMatrix) -> np.ndarray:

@@ -7,8 +7,11 @@ Subcommands:
   phase         closed-form value curves and phase boundaries over (M, n)
   bound-oracle  brute-force check of the exact distortion decomposition
 
-Exit codes: 0 success, 1 check failure or diverged training (a non-finite
-gradient or parameter), 2 config error, 3 IO error.
+Exit codes: 0 success, 1 check failure or a training run that failed at run
+time (it diverged to a non-finite rate, gradient or parameter, or every
+activity in some neighbourhood underflowed to zero), 2 config error, 3 IO
+error.  A training run that fails or is interrupted still writes the
+objective-trace and dominance-history rows recorded so far.
 Config files are INI-style key = value sections; every CSV starts with a
 comment line carrying a short hash of the effective configuration.
 """
@@ -28,6 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .activation import DegenerateActivityError
 from .analytic import describe_crossovers, phase_diagram, value_table
 from .datagen import TrainingConfig, validate_kappa
 from .gradients import finite_difference_check
@@ -291,13 +295,12 @@ def _effective_config(merged: dict, state: TrainerState) -> dict[str, dict[str, 
 def cmd_train(args) -> int:
     file_dict = _read_config_file(args.config) if args.config else None
     merged = merge_config(file_dict, args.override, args.seed)
+    # the shorthand flags go through the merged config, so they are
+    # validated and hashed like the [run] keys they set
+    for key in ("report_every", "checkpoint_every", "channel"):
+        if getattr(args, key) is not None:
+            merged["run"][key] = str(getattr(args, key))
     rc = build_run_config(merged)
-    if args.report_every is not None:
-        rc.report_every = args.report_every
-    if args.checkpoint_every is not None:
-        rc.checkpoint_every = args.checkpoint_every
-    if args.channel is not None:
-        rc.channel = args.channel
 
     if args.resume:
         state = _resume(args.resume, file_dict, args.override, args.seed, rc)
@@ -332,21 +335,25 @@ def cmd_train(args) -> int:
         if rc.checkpoint_every and state.step % rc.checkpoint_every == 0:
             checkpoint_save(state, os.path.join(out_dir, f"checkpoint_{state.step:06d}.ckpt"))
 
-    if state.step == 0:
-        record(state)
-    run_training(state, remaining, on_step=on_step)
-    if not trace_rows or trace_rows[-1][0] != state.step:
-        record(state)
+    try:
+        if state.step == 0:
+            record(state)
+        run_training(state, remaining, on_step=on_step)
+        if not trace_rows or trace_rows[-1][0] != state.step:
+            record(state)
+    finally:
+        # a diverged or interrupted run keeps the rows recorded so far
+        _write_csv(os.path.join(out_dir, "objective_trace.csv"), rc.cfg_hash,
+                   ["step", "d1", "d2", "total"], trace_rows)
+        if state.tcfg.s == 2:
+            _write_csv(os.path.join(out_dir, "dominance_history.csv"), rc.cfg_hash,
+                       ["step", "node_index", "a1", "a2"], history_rows)
 
-    _write_csv(os.path.join(out_dir, "objective_trace.csv"), rc.cfg_hash,
-               ["step", "d1", "d2", "total"], trace_rows)
     if state.tcfg.s == 2:
         prof = dominance(state)
         rows = [(idx, prof.a1[idx], prof.a2[idx]) for idx in range(prof.a1.size)]
         _write_csv(os.path.join(out_dir, "dominance.csv"), rc.cfg_hash,
                    ["node_index", "a1", "a2"], rows)
-        _write_csv(os.path.join(out_dir, "dominance_history.csv"), rc.cfg_hash,
-                   ["step", "node_index", "a1", "a2"], history_rows)
         if state.lattice_cfg.node_dims[0] > 1:
             channel = prof.a1 if rc.channel == "a1" else prof.a2
             _write_pgm(os.path.join(out_dir, f"dominance_{rc.channel}.pgm"),
@@ -508,6 +515,10 @@ def main(argv=None) -> int:
         return args.func(args)
     except TrainingDivergedError as exc:
         print(f"error: training diverged: {exc}", file=sys.stderr)
+        return EXIT_CHECK_FAILED
+    except DegenerateActivityError as exc:
+        # a ValueError, but raised by the state the run reached, not by its config
+        print(f"error: {exc}", file=sys.stderr)
         return EXIT_CHECK_FAILED
     except FileNotFoundError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -3,12 +3,12 @@
 Per input vector, build_state takes the objective's own forward pass
 (activities, localized posteriors, leaked weights, windowed residuals and
 the coherent residual dbar) and adds the leakage-smoothed per-node
-quantities that the derivative formulas need.  kernels() turns one state
-into the per-node kernels; gradient_set_from_states averages them over
-samples and applies the coefficients.  All neighbourhood sums run over the
-truncated sets from the lattice module with a single dummy index; the
-quadruple-sum expansions exist only in the test suite as an independent
-oracle.
+quantities that the derivative formulas need.  gradient_set_from_states
+turns each state straight into the three totals the trainer and the
+finite-difference check read, and averages them over samples.  All
+neighbourhood sums run over the truncated sets from the lattice module with
+a single dummy index; the quadruple-sum expansions exist only in the test
+suite as an independent oracle.
 
 Derivatives (empirical average over samples, windowed):
 
@@ -25,6 +25,16 @@ in the residuals d, so the dot product with dbar can be taken first:
 
 which has the form of g1 with e replaced by h.  Every per-sample array is
 therefore windowed (M, K) or per node (M,); only dbar spans the input.
+
+Per sample the totals are assembled in one pass, never as separate d1 and
+d2 parts: with c1, c2 the bias/weight and r1, r2 the ref coefficients above,
+
+    bias   = (c1 g1 + c2 g2) (1 - Q)
+    weight = bias x_win
+    ref    = (r1 rho) d + (r2 rho) dbar_win.
+
+kernels() returns f1, f2, g1 and g2 separately; the tests check the d1/d2
+split there, against the expanded-sum oracle.
 """
 
 from __future__ import annotations
@@ -40,14 +50,16 @@ from .objective import Forward, SampleSet, compute_D1_D2, forward
 
 @dataclass
 class ActivationState(Forward):
-    """One input's forward pass plus the derivative pieces, all per node.
+    """One input's forward pass plus the derivative pieces.
 
-    le and lh are the leakage-smoothed distortions L e and L h, with
-    h_y = d_y . dbar the residual of node y projected on the coherent
-    residual; ptple and ptplh apply P^T P to them.
+    dbar_win is dbar gathered on each node's input window (M, K).  le and
+    lh are the leakage-smoothed distortions L e and L h, with h_y = d_y .
+    dbar the residual of node y projected on the coherent residual; ptple
+    and ptplh apply P^T P to them (all (M,)).
     """
 
     lattice: Lattice
+    dbar_win: np.ndarray
     le: np.ndarray
     lh: np.ndarray
     ptple: np.ndarray
@@ -55,107 +67,79 @@ class ActivationState(Forward):
 
 
 def _ptp(post: np.ndarray, lattice: Lattice, v: np.ndarray) -> np.ndarray:
-    """P^T P v for P given by its entries in the neighbourhood layout.
-
-    Each bincount adds in the order of the matching scipy CSR (P v) or
-    CSC (P^T u) product."""
-    rows, cols, m = lattice.nbr_rows, lattice.nbr_indices, lattice.num_nodes
-    pv = np.bincount(rows, weights=post * v[cols], minlength=m)
-    return np.bincount(cols, weights=post * pv[rows], minlength=m)
+    """P^T P v for P given by its entries in the neighbourhood layout."""
+    pv = lattice.nbr_row_sum(post * v[lattice.nbr_indices])
+    return lattice.nbr_col_sum(post * pv[lattice.nbr_rows])
 
 
 def build_state(x: np.ndarray, lattice: Lattice, params: NodeParams, leakage: LeakageMatrix) -> ActivationState:
     """Evaluate and cache everything the derivative formulas need for one
     input vector."""
     fw = forward(x, lattice, params, leakage)
-    h = np.einsum("ij,ij->i", fw.d_win, fw.dbar[lattice.win_idx])
+    dbar_win = fw.dbar[lattice.win_idx]
+    h = np.einsum("ij,ij->i", fw.d_win, dbar_win)
     le = leakage.apply(fw.e)
     lh = leakage.apply(h)
     return ActivationState(
-        **vars(fw), lattice=lattice, le=le, lh=lh,
+        **vars(fw), lattice=lattice, dbar_win=dbar_win, le=le, lh=lh,
         ptple=_ptp(fw.post, lattice, le), ptplh=_ptp(fw.post, lattice, lh),
     )
 
 
 @dataclass
 class GradientSet:
-    """All derivative components, split into the d1 and d2 contributions.
+    """The derivative of D1 + D2 with respect to each parameter type.
 
     Ref-vector and weight gradients are stored in windowed (M, K) layout;
     components outside a node's input window do not exist in this layout
     and are identically zero in the full-dimensional picture.
     """
 
-    ref_d1: np.ndarray
-    ref_d2: np.ndarray
-    weight_d1: np.ndarray
-    weight_d2: np.ndarray
-    bias_d1: np.ndarray
-    bias_d2: np.ndarray
-
-    @property
-    def ref_total(self) -> np.ndarray:
-        return self.ref_d1 + self.ref_d2
-
-    @property
-    def weight_total(self) -> np.ndarray:
-        return self.weight_d1 + self.weight_d2
-
-    @property
-    def bias_total(self) -> np.ndarray:
-        return self.bias_d1 + self.bias_d2
+    bias_total: np.ndarray
+    weight_total: np.ndarray
+    ref_total: np.ndarray
 
     def all_finite(self) -> bool:
-        return all(
-            np.all(np.isfinite(a))
-            for a in (self.ref_d1, self.ref_d2, self.weight_d1,
-                      self.weight_d2, self.bias_d1, self.bias_d2)
-        )
+        return all(np.all(np.isfinite(a)) for a in (self.bias_total, self.weight_total, self.ref_total))
+
+
+def _g_kernels(state: ActivationState):
+    return state.p * state.le - state.ptple, state.p * state.lh - state.ptplh
 
 
 def kernels(state: ActivationState):
     """Per-sample kernels before coefficients: f1 and f2 windowed (M, K),
     g1 and g2 per node (M,) without the sigmoid factor (1 - Q)."""
     f1 = state.rho[:, None] * state.d_win
-    f2 = state.rho[:, None] * state.dbar[state.lattice.win_idx]
-    g1 = state.p * state.le - state.ptple
-    g2 = state.p * state.lh - state.ptplh
-    return f1, f2, g1, g2
+    f2 = state.rho[:, None] * state.dbar_win
+    return (f1, f2, *_g_kernels(state))
 
 
 def gradient_set_from_states(states, lattice: Lattice, n: float) -> GradientSet:
-    """Average the per-sample kernels and apply the derivative coefficients."""
-    acc = None
+    """Average the per-sample bias, weight and ref totals over the states."""
+    m = lattice.num_nodes
+    c1, c2 = 2.0 / (n * m), 4.0 * (n - 1.0) / (n * m * m)
+    r1, r2 = -4.0 / (n * m), -4.0 * (n - 1.0) / (n * m * m)
+    totals = None
     count = 0
     for state in states:
-        f1, f2, g1, g2 = kernels(state)
-        sig = 1.0 - state.q
-        g1v = g1 * sig
-        g2v = g2 * sig
-        terms = (f1, f2, g1v, g2v, g1v[:, None] * state.x_windows, g2v[:, None] * state.x_windows)
-        if acc is None:
+        g1, g2 = _g_kernels(state)
+        bias = (c1 * g1 + c2 * g2) * (1.0 - state.q)
+        ref = (r1 * state.rho)[:, None] * state.d_win
+        ref += (r2 * state.rho)[:, None] * state.dbar_win
+        terms = (bias, bias[:, None] * state.x_windows, ref)
+        if totals is None:
             # the first sample's terms start the sums (0 + x is exact)
-            acc = terms
+            totals = terms
         else:
-            for total, term in zip(acc, terms):
+            for total, term in zip(totals, terms):
                 total += term
         count += 1
-    if acc is None:
+    if totals is None:
         raise ValueError("gradients need at least one sample")
-    acc_f1, acc_f2, acc_g1b, acc_g2b, acc_g1w, acc_g2w = acc
-    m = lattice.num_nodes
-    c_ref1 = -4.0 / (n * m) / count
-    c_ref2 = -4.0 * (n - 1.0) / (n * m * m) / count
-    c_prob1 = 2.0 / (n * m) / count
-    c_prob2 = 4.0 * (n - 1.0) / (n * m * m) / count
-    return GradientSet(
-        ref_d1=c_ref1 * acc_f1,
-        ref_d2=c_ref2 * acc_f2,
-        weight_d1=c_prob1 * acc_g1w,
-        weight_d2=c_prob2 * acc_g2w,
-        bias_d1=c_prob1 * acc_g1b,
-        bias_d2=c_prob2 * acc_g2b,
-    )
+    for total in totals:
+        total /= count
+    return GradientSet(*totals)
 
 
 def _states(samples: SampleSet, lattice: Lattice, params: NodeParams, leakage: LeakageMatrix):
@@ -241,11 +225,7 @@ def finite_difference_check(
     analytic ref-vector component so the check must fail.
     """
     gs = all_gradients(samples, lattice, params, leakage, n)
-    analytic = {
-        "bias": gs.bias_total.copy(),
-        "weight": gs.weight_total.copy(),
-        "ref": gs.ref_total.copy(),
-    }
+    analytic = {"bias": gs.bias_total, "weight": gs.weight_total, "ref": gs.ref_total}
     if corrupt_first_component:
         analytic["ref"].flat[0] = analytic["ref"].flat[0] * 1.1 + 1e-3
 

@@ -153,13 +153,11 @@ def forward(x: np.ndarray, lattice: Lattice, params: NodeParams, leakage: Leakag
     xw = lattice.gather(x)
     q = stable_sigmoid(np.einsum("ij,ij->i", params.weights, xw) + params.biases)
     post = localized_posterior_entries(q, lattice)
-    # column sums of P, added in the same order as a CSR column sum
-    p = np.bincount(lattice.nbr_indices, weights=post, minlength=lattice.num_nodes)
+    p = lattice.nbr_col_sum(post)
     rho = leakage.apply_transpose(p)
     d_win = xw - params.ref_vectors
     e = (d_win**2).sum(axis=1)
-    dbar = np.bincount(lattice.win_idx.reshape(-1), weights=(rho[:, None] * d_win).reshape(-1),
-                       minlength=lattice.input_size)
+    dbar = lattice.win_cell_sum((rho[:, None] * d_win).reshape(-1))
     return Forward(x_windows=xw, q=q, post=post, p=p, rho=rho, d_win=d_win, e=e, dbar=dbar)
 
 

@@ -14,7 +14,7 @@ from pmdnet.cli import (
     merge_config,
 )
 
-from pmdnet.trainer import checkpoint_load
+from pmdnet.trainer import checkpoint_load, checkpoint_save
 
 from test_trainer import rewrite_header
 
@@ -359,6 +359,45 @@ def test_train_divergence_exits_1(tmp_path, capsys):
     assert code == 1
     assert capsys.readouterr().err.splitlines() == [
         "error: training diverged: non-finite update rate at step 0"]
+    # the rows recorded before the failure are written
+    _, rows = read_csv(tmp_path / "div" / "objective_trace.csv")
+    assert [row[0] for row in rows] == ["0"]
+    _, rows = read_csv(tmp_path / "div" / "dominance_history.csv")
+    assert [row[:2] for row in rows] == [["0", str(idx)] for idx in range(12)]
+
+
+def test_degenerate_activity_exits_1(tmp_path, capsys):
+    # biases of -800 underflow every activity to 0: a failure of the state
+    # the run is in, not of its configuration
+    ini = write_tiny(tmp_path, updates=0)
+    out = tmp_path / "out"
+    assert main(["train", "--config", str(ini), "--out-dir", str(out)]) == 0
+    state = checkpoint_load(out / "checkpoint_final.ckpt", {"updates": 2})
+    state.params.biases[:] = -800.0
+    checkpoint_save(state, tmp_path / "dead.ckpt")
+    capsys.readouterr()
+    assert main(["train", "--resume", str(tmp_path / "dead.ckpt"),
+                 "--out-dir", str(tmp_path / "r")]) == 1
+    assert capsys.readouterr().err.splitlines() == [
+        "error: neighbourhood of node (0, 0) has zero activity"]
+
+
+def test_run_flags_are_validated_and_hashed(tmp_path, capsys):
+    ini = write_tiny(tmp_path, updates=0)
+
+    def trace_hash(name, *extra):
+        assert main(["train", "--config", str(ini), "--out-dir", str(tmp_path / name), *extra]) == 0
+        return csv_hash(tmp_path / name / "objective_trace.csv")
+
+    flag = trace_hash("flag", "--report-every", "5", "--checkpoint-every", "7", "--channel", "a2")
+    override = trace_hash("override", "--override", "run.report_every=5",
+                          "--override", "run.checkpoint_every=7", "--override", "run.channel=a2")
+    assert flag == override != trace_hash("default")
+    capsys.readouterr()
+    for bad in (["--report-every", "-1"], ["--checkpoint-every", "-1"]):
+        assert main(["train", "--config", str(ini), "--out-dir", str(tmp_path / "bad"), *bad]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and err.startswith("error: ")
 
 
 def test_resume_from_malformed_header_exits_2(tmp_path, capsys):

@@ -87,6 +87,23 @@ def test_kernels_match_oracle():
         assert_kernels_match_oracle(*random_instance(rng))
 
 
+def split_terms(f1, f2, g1, g2, sig, xw):
+    """The six per-sample d1/d2 terms before coefficients, ordered as
+    ref d1, ref d2, bias d1, bias d2, weight d1, weight d2."""
+    return f1, f2, g1 * sig, g2 * sig, (g1 * sig)[:, None] * xw, (g2 * sig)[:, None] * xw
+
+
+def split_coefficients(n, m, s):
+    c_ref1, c_ref2 = -4.0 / (n * m) / s, -4.0 * (n - 1.0) / (n * m * m) / s
+    c_prob1, c_prob2 = 2.0 / (n * m) / s, 4.0 * (n - 1.0) / (n * m * m) / s
+    return c_ref1, c_ref2, c_prob1, c_prob2, c_prob1, c_prob2
+
+
+def totals_of(parts):
+    """(bias, weight, ref) totals from the six parts of split_terms."""
+    return parts[2] + parts[3], parts[4] + parts[5], parts[0] + parts[1]
+
+
 def test_gradient_set_matches_oracle_assembly():
     rng = np.random.default_rng(23)
     for _ in range(4):
@@ -96,32 +113,22 @@ def test_gradient_set_matches_oracle_assembly():
         n = float(rng.choice([1.0, 2.0, 5.0]))
         gs = all_gradients(SampleSet(vectors=xs), lat, params, lat.leakage, n)
         m = lat.num_nodes
-        s = xs.shape[0]
-        ref1 = np.zeros_like(gs.ref_d1)
-        ref2 = np.zeros_like(gs.ref_d2)
-        w1 = np.zeros_like(gs.weight_d1)
-        w2 = np.zeros_like(gs.weight_d2)
-        b1 = np.zeros(m)
-        b2 = np.zeros(m)
+        on_window = np.arange(m)[:, None], lat.win_idx
+        oracle, split = [0.0] * 6, [0.0] * 6
         for x in xs:
             oq = expanded_quantities(x, cfg, params, n)
-            sig = 1.0 - oq["q"]
-            xw = x[lat.win_idx]
-            for y in range(m):
-                ref1[y] += oq["f1"][y][lat.win_idx[y]]
-                ref2[y] += oq["f2"][y][lat.win_idx[y]]
-            b1 += oq["g1"] * sig
-            b2 += oq["g2"] * sig
-            w1 += (oq["g1"] * sig)[:, None] * xw
-            w2 += (oq["g2"] * sig)[:, None] * xw
-        ref1 *= -4.0 / (n * m) / s
-        ref2 *= -4.0 * (n - 1.0) / (n * m * m) / s
-        b1 *= 2.0 / (n * m) / s
-        w1 *= 2.0 / (n * m) / s
-        b2 *= 4.0 * (n - 1.0) / (n * m * m) / s
-        w2 *= 4.0 * (n - 1.0) / (n * m * m) / s
-        for got, want in [(gs.ref_d1, ref1), (gs.ref_d2, ref2), (gs.weight_d1, w1),
-                          (gs.weight_d2, w2), (gs.bias_d1, b1), (gs.bias_d2, b2)]:
+            terms = split_terms(oq["f1"][on_window], oq["f2"][on_window], oq["g1"], oq["g2"],
+                                1.0 - oq["q"], x[lat.win_idx])
+            oracle = [acc + t for acc, t in zip(oracle, terms)]
+            st = build_state(x, lat, params, lat.leakage)
+            terms = split_terms(*kernels(st), 1.0 - st.q, st.x_windows)
+            split = [acc + t for acc, t in zip(split, terms)]
+        coeffs = split_coefficients(n, m, xs.shape[0])
+        oracle = [c * part for c, part in zip(coeffs, oracle)]
+        # the d1/d2 split, read through kernels()
+        for c, got, want in zip(coeffs, split, oracle):
+            assert np.allclose(c * got, want, rtol=0, atol=1e-12)
+        for got, want in zip((gs.bias_total, gs.weight_total, gs.ref_total), totals_of(oracle)):
             assert np.allclose(got, want, rtol=0, atol=1e-12)
     with pytest.raises(ValueError, match="at least one sample"):
         gradient_set_from_states([], lat, 2.0)
@@ -182,8 +189,7 @@ def test_perfect_reconstruction_kills_residual_kernels():
         assert abs(g1[y]) <= 1e-15
         assert abs(g2[y]) <= 1e-15
     gs = all_gradients(SampleSet(vectors=x[None, :]), lat, params, lat.leakage, 3.0)
-    assert np.allclose(gs.ref_d1, 0.0, rtol=0, atol=1e-15)
-    assert np.allclose(gs.ref_d2, 0.0, rtol=0, atol=1e-15)
+    assert np.allclose(gs.ref_total, 0.0, rtol=0, atol=1e-15)
 
 
 def test_constant_distortion_zeroes_g1():
@@ -210,9 +216,14 @@ def test_n1_removes_coherent_gradients():
     lat = get_lattice(cfg)
     samples = SampleSet(vectors=x[None, :])
     gs = all_gradients(samples, lat, params, lat.leakage, 1.0)
-    assert np.all(gs.ref_d2 == 0.0)
-    assert np.all(gs.bias_d2 == 0.0)
-    assert np.all(gs.weight_d2 == 0.0)
+    # the d2 coefficients are 0, so the totals are exactly the d1 parts
+    st = build_state(x, lat, params, lat.leakage)
+    g1 = kernels(st)[2]
+    m = lat.num_nodes
+    bias_d1 = (2.0 / m * g1) * (1.0 - st.q)
+    assert np.all(gs.bias_total == bias_d1)
+    assert np.all(gs.weight_total == bias_d1[:, None] * st.x_windows)
+    assert np.all(gs.ref_total == (-4.0 / m * st.rho)[:, None] * st.d_win)
 
 
 def test_finite_difference_check_passes():
@@ -276,26 +287,22 @@ def test_saturated_activations_keep_gradients_finite(cfg):
     n = 5.0
     gs = all_gradients(SampleSet(vectors=xs), lat, params, lat.leakage, n)
     assert gs.all_finite()
-    f1s, f2s, g1b, g2b, g1w, g2w = [], [], [], [], [], []
+    parts, mags = [0.0] * 6, [0.0] * 6
     for x in xs:
         st = build_state(x, lat, params, lat.leakage)
         assert np.all(st.q > 0) and np.all(st.q < 1e-300)
         assert np.all(np.isfinite(st.post)) and st.post.max() <= 1.0
-        f1, f2, g1, g2 = kernels(st)
-        sig = 1.0 - st.q
-        f1s.append(f1)
-        f2s.append(f2)
-        g1b.append(g1 * sig)
-        g2b.append(g2 * sig)
-        g1w.append((g1 * sig)[:, None] * st.x_windows)
-        g2w.append((g2 * sig)[:, None] * st.x_windows)
-    c1, c2 = 2.0 / (n * m) / 3, 4.0 * (n - 1.0) / (n * m * m) / 3
-    by_hand = [(gs.ref_d1, -2.0 * c1 * sum(f1s)), (gs.ref_d2, -c2 * sum(f2s)),
-               (gs.bias_d1, c1 * sum(g1b)), (gs.bias_d2, c2 * sum(g2b)),
-               (gs.weight_d1, c1 * sum(g1w)), (gs.weight_d2, c2 * sum(g2w))]
-    for got, want in by_hand:
+        terms = split_terms(*kernels(st), 1.0 - st.q, st.x_windows)
+        parts = [acc + t for acc, t in zip(parts, terms)]
+        mags = [acc + np.abs(t) for acc, t in zip(mags, terms)]
+    coeffs = split_coefficients(n, m, 3)
+    by_hand = totals_of([c * part for c, part in zip(coeffs, parts)])
+    # a total adds the d1 and d2 terms of every sample, so its rounding is
+    # relative to the magnitudes of those terms, not to the total itself
+    scales = totals_of([abs(c) * mag for c, mag in zip(coeffs, mags)])
+    for got, want, scale in zip((gs.bias_total, gs.weight_total, gs.ref_total), by_hand, scales):
         assert np.all(np.isfinite(want))
-        assert np.allclose(got, want, rtol=1e-13, atol=0)
+        assert np.all(np.abs(got - want) <= 1e-13 * scale)
 
 
 def test_state_has_no_full_input_arrays():

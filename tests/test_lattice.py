@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st_
 
 from pmdnet.lattice import (
     Lattice,
@@ -187,3 +189,35 @@ def test_lattice_neighbour_rows_match_sets():
 def test_get_lattice_caches():
     assert get_lattice(STRIPE_1D) is get_lattice(STRIPE_1D)
     assert isinstance(get_lattice(STRIPE_1D), Lattice)
+
+
+def _odd(draw, upper):
+    return 2 * draw(st_.integers(0, upper)) + 1
+
+
+@st_.composite
+def truncated_geometries(draw):
+    """A small lattice whose windows are often cut at the edges, and a seed."""
+    cfg = LatticeConfig(
+        node_dims=(draw(st_.integers(1, 4)), draw(st_.integers(1, 6))),
+        input_window=(_odd(draw, 1), _odd(draw, 2)),
+        neighbourhood_window=(_odd(draw, 2), _odd(draw, 3)),
+        leakage_window=(1, 1),
+    )
+    return cfg, draw(st_.integers(0, 2**32 - 1))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(truncated_geometries())
+def test_sum_operators_equal_bincount_bitwise(instance):
+    cfg, seed = instance
+    lat = Lattice(cfg)
+    rng = np.random.default_rng(seed)
+    for op, targets, size in ((lat.nbr_row_sum, lat.nbr_rows, lat.num_nodes),
+                              (lat.nbr_col_sum, lat.nbr_indices, lat.num_nodes),
+                              (lat.win_cell_sum, lat.win_idx.reshape(-1), lat.input_size)):
+        # magnitudes over 26 decades, so any other order of addition
+        # would change the rounded sums
+        w = rng.standard_normal(len(targets)) * 10.0 ** rng.uniform(-13, 13, len(targets))
+        assert op.shape == (size, len(targets))
+        assert op(w).tobytes() == np.bincount(targets, weights=w, minlength=size).tobytes()

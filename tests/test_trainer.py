@@ -37,9 +37,8 @@ SMALL_TC = TrainingConfig(kappa=2 * np.pi / 7, nu=0.1, s=2, n=5,
 
 
 def zero_grads(m, k):
-    return GradientSet(ref_d1=np.zeros((m, k)), ref_d2=np.zeros((m, k)),
-                       weight_d1=np.zeros((m, k)), weight_d2=np.zeros((m, k)),
-                       bias_d1=np.zeros(m), bias_d2=np.zeros(m))
+    return GradientSet(bias_total=np.zeros(m), weight_total=np.zeros((m, k)),
+                       ref_total=np.zeros((m, k)))
 
 
 def test_init_params_ranges_and_determinism():
@@ -76,7 +75,7 @@ def test_adapt_rates_worked_example():
     params = NodeParams(weights=np.zeros((m, k)), biases=np.array([-1.0, 1.0]),
                         ref_vectors=np.zeros((m, k)))
     gs = zero_grads(m, k)
-    gs.bias_d1[:] = 0.01
+    gs.bias_total[:] = 0.01
     rates, diams = adapt_rates(params, gs, 0.002)
     assert diams[0] == 2.0
     assert rates[0] == pytest.approx(0.4, rel=1e-9)
@@ -431,5 +430,26 @@ def test_checkpoint_rejects_malformed_header(tmp_path):
     bad = tmp_path / "bad.ckpt"
     for edit in edits:
         bad.write_bytes(rewrite_header(blob, edit))
+        with pytest.raises(CheckpointError):
+            checkpoint_load(bad)
+
+
+def test_every_truncation_and_bit_flip_is_rejected(tmp_path):
+    # two nodes with 1x1 windows keep the file small enough to try every
+    # prefix and every single-bit flip of it
+    cfg = LatticeConfig(node_dims=(1, 2), input_window=(1, 1),
+                        neighbourhood_window=(1, 1), leakage_window=(1, 1))
+    p = tmp_path / "f.ckpt"
+    checkpoint_save(new_state(cfg, SMALL_TC), p)
+    blob = p.read_bytes()
+    bad = tmp_path / "bad.ckpt"
+    for length in range(len(blob)):
+        bad.write_bytes(blob[:length])
+        with pytest.raises(CheckpointError):
+            checkpoint_load(bad)
+    for bit in range(8 * len(blob)):
+        flipped = bytearray(blob)
+        flipped[bit // 8] ^= 1 << (bit % 8)
+        bad.write_bytes(bytes(flipped))
         with pytest.raises(CheckpointError):
             checkpoint_load(bad)
