@@ -12,18 +12,22 @@ time (it diverged to a non-finite rate, gradient or parameter, or every
 activity in some neighbourhood underflowed to zero), 2 config error, 3 IO
 error.  A training run that fails or is interrupted still writes the
 objective-trace and dominance-history rows recorded so far.
-Config files are INI-style key = value sections; every CSV starts with a
-comment line carrying a short hash of the effective configuration.
+
+Config files are INI-style key = value sections.  RunConfig is the schema:
+[lattice] sets the fields of LatticeConfig, [training] those of
+TrainingConfig and [run] RunConfig's own, each value parsed by the type its
+field declares.  A config file and --override items change a preset,
+DEFAULTS (the 1D stripe run) or GRADCHECK_DEFAULTS.  Every CSV starts with a
+comment line carrying a short hash of the typed configuration that ran, so
+two spellings of one value (0.3 and 3e-1) give one hash.
 """
 
 from __future__ import annotations
 
 import argparse
 import configparser
-import copy
 import csv
 import dataclasses
-import hashlib
 import math
 import os
 import sys
@@ -37,7 +41,10 @@ from .datagen import TrainingConfig, validate_kappa
 from .gradients import finite_difference_check
 from .lattice import LatticeConfig, get_lattice
 from .objective import SampleSet, compute_D_exact
+from .schema import check_field_types, config_hash, field_types
 from .trainer import (
+    RESUMABLE,
+    SEED_POLICIES,
     CheckpointError,
     TrainerState,
     TrainingDivergedError,
@@ -55,68 +62,64 @@ EXIT_CHECK_FAILED = 1
 EXIT_CONFIG = 2
 EXIT_IO = 3
 
+CHANNELS = ("a1", "a2")
+
 
 class ConfigError(ValueError):
     """Invalid configuration content (unknown key, bad value, bad combination)."""
 
 
-DEFAULTS = {
-    "lattice": {
-        "node_dims": "1,100",
-        "input_window": "1,41",
-        "neighbourhood_window": "1,21",
-        "leakage_window": "1,15",
-    },
-    "training": {
-        "kappa": "0.3",
-        "nu": "0.1",
-        "s": "2",
-        "n": "400",
-        "epsilon": "0.002",
-        "seed": "0",
-        "updates": "3200",
-    },
-    "run": {
-        "report_every": "100",
-        "checkpoint_every": "0",
-        "seed_policy": "fresh",
-        "heldout_size": "64",
-        "channel": "a1",
-    },
-}
+@dataclass(frozen=True)
+class RunConfig:
+    """A training run: its lattice, its training and the [run] settings.
 
-GRADCHECK_DEFAULTS = {
-    "lattice": {
-        "node_dims": "1,8",
-        "input_window": "1,5",
-        "neighbourhood_window": "1,3",
-        "leakage_window": "1,3",
-    },
-    "training": {
-        "kappa": "0.3",
-        "nu": "0.0",
-        "s": "1",
-        "n": "3",
-        "epsilon": "0.002",
-        "seed": "0",
-        "updates": "0",
-    },
-    "run": DEFAULTS["run"],
-}
+    report_every      held-out objective and dominance recording cadence
+    checkpoint_every  periodic checkpoint cadence; 0 disables them
+    seed_policy       one of SEED_POLICIES
+    heldout_size      vectors in the frozen held-out batch
+    channel           dominance channel of the graymap for 2D runs
+    """
+
+    lattice: LatticeConfig
+    training: TrainingConfig
+    report_every: int = 100
+    checkpoint_every: int = 0
+    seed_policy: str = "fresh"
+    heldout_size: int = 64
+    channel: str = "a1"
+
+    def __post_init__(self):
+        check_field_types(self)
+        for key, allowed in (("seed_policy", SEED_POLICIES), ("channel", CHANNELS)):
+            value = getattr(self, key)
+            if value not in allowed:
+                raise ValueError(f"run.{key} must be {' or '.join(map(repr, allowed))}, got {value!r}")
+        if self.report_every < 0 or self.checkpoint_every < 0 or self.heldout_size < 1:
+            raise ValueError("report_every/checkpoint_every must be >= 0 and heldout_size >= 1")
+
+
+# The 1D stripe run: the paper's ocular-dominance experiment.
+DEFAULTS = RunConfig(
+    lattice=LatticeConfig(node_dims=(1, 100), input_window=(1, 41),
+                          neighbourhood_window=(1, 21), leakage_window=(1, 15)),
+    training=TrainingConfig(kappa=0.3, nu=0.1, s=2, n=400, epsilon=0.002, seed=0, updates=3200),
+)
+
+# A lattice small enough to finite-difference every gradient component.
+GRADCHECK_DEFAULTS = RunConfig(
+    lattice=LatticeConfig(node_dims=(1, 8), input_window=(1, 5),
+                          neighbourhood_window=(1, 3), leakage_window=(1, 3)),
+    training=TrainingConfig(kappa=0.3, nu=0.0, s=1, n=3, epsilon=0.002, seed=0, updates=0),
+)
 
 GRADCHECK_MAX_NODES = 16
 
 
-@dataclass
-class RunConfig:
-    lattice: LatticeConfig
-    training: TrainingConfig
-    report_every: int
-    checkpoint_every: int
-    seed_policy: str
-    heldout_size: int
-    channel: str
-    cfg_hash: str
+# Config file section -> key -> declared type.  Each dataclass field of
+# RunConfig is a section; RunConfig's other fields make up [run].
+_RUN_FIELDS = field_types(RunConfig)
+SECTIONS = {name: field_types(typ) for name, typ in _RUN_FIELDS.items() if dataclasses.is_dataclass(typ)}
+SECTIONS["run"] = {name: typ for name, typ in _RUN_FIELDS.items() if name not in SECTIONS}
 
 
 def _read_config_file(path: str) -> dict[str, dict[str, str]]:
@@ -130,96 +133,60 @@ def _read_config_file(path: str) -> dict[str, dict[str, str]]:
     return {section: dict(cp[section]) for section in cp.sections()}
 
 
-def merge_config(file_dict: dict | None, overrides: list[str], seed: int | None,
-                 defaults: dict = DEFAULTS) -> dict[str, dict[str, str]]:
-    merged = copy.deepcopy(defaults)
-    if file_dict:
-        for section, items in file_dict.items():
-            if section not in merged:
-                raise ConfigError(f"unknown config section [{section}]")
-            for key, value in items.items():
-                if key not in merged[section]:
-                    raise ConfigError(f"unknown key {key!r} in section [{section}]")
-                merged[section][key] = value
+def merge_config(file_dict: dict | None, overrides: list[str], seed: int | None) -> dict[str, str]:
+    """The settings that a config file, --override items and --seed give, as
+    'section.key' -> text; a later one wins.  Unknown targets are rejected."""
+    merged = {}
+    for section, items in (file_dict or {}).items():
+        if section not in SECTIONS:
+            raise ConfigError(f"unknown config section [{section}]")
+        for key, value in items.items():
+            if key not in SECTIONS[section]:
+                raise ConfigError(f"unknown key {key!r} in section [{section}]")
+            merged[f"{section}.{key}"] = value
     for item in overrides:
         head, sep, value = item.partition("=")
         if not sep or "." not in head:
             raise ConfigError(f"override must look like section.key=value, got {item!r}")
         section, _, key = head.partition(".")
-        if section not in merged or key not in merged[section]:
+        if key not in SECTIONS.get(section, {}):
             raise ConfigError(f"unknown override target {section}.{key}")
-        merged[section][key] = value
+        merged[head] = value
     if seed is not None:
-        merged["training"]["seed"] = str(seed)
+        merged["training.seed"] = str(seed)
     return merged
-
-
-def config_hash(merged: dict[str, dict[str, str]]) -> str:
-    lines = sorted(f"{s}.{k}={v}" for s, items in merged.items() for k, v in items.items())
-    return hashlib.sha256("\n".join(lines).encode("utf-8")).hexdigest()[:12]
 
 
 def _pair(text: str, what: str) -> tuple[int, int]:
     parts = [p.strip() for p in text.split(",")]
     if len(parts) != 2:
-        raise ConfigError(f"{what} must be two comma-separated integers, got {text!r}")
+        raise ValueError(f"{what} must be two comma-separated integers, got {text!r}")
     try:
         return (int(parts[0]), int(parts[1]))
     except ValueError as exc:
-        raise ConfigError(f"{what}: {exc}") from exc
+        raise ValueError(f"{what}: {exc}") from exc
 
 
-def build_run_config(merged: dict[str, dict[str, str]]) -> RunConfig:
-    lat = merged["lattice"]
-    tr = merged["training"]
-    run = merged["run"]
+def build_run_config(merged: dict[str, str], defaults: RunConfig = DEFAULTS) -> RunConfig:
+    """defaults with each merged setting parsed by the type its field declares."""
+    values = {section: {} for section in SECTIONS}
     try:
-        lattice = LatticeConfig(
-            node_dims=_pair(lat["node_dims"], "lattice.node_dims"),
-            input_window=_pair(lat["input_window"], "lattice.input_window"),
-            neighbourhood_window=_pair(lat["neighbourhood_window"], "lattice.neighbourhood_window"),
-            leakage_window=_pair(lat["leakage_window"], "lattice.leakage_window"),
-        )
-        training = TrainingConfig(
-            kappa=float(tr["kappa"]),
-            nu=float(tr["nu"]),
-            s=int(tr["s"]),
-            n=int(tr["n"]),
-            epsilon=float(tr["epsilon"]),
-            seed=int(tr["seed"]),
-            updates=int(tr["updates"]),
-        )
-        report_every = int(run["report_every"])
-        checkpoint_every = int(run["checkpoint_every"])
-        heldout_size = int(run["heldout_size"])
-    except (ValueError, KeyError) as exc:
-        if isinstance(exc, ConfigError):
-            raise
+        for setting, text in merged.items():
+            section, _, key = setting.partition(".")
+            typ = SECTIONS[section][key]
+            values[section][key] = _pair(text, setting) if typ == tuple[int, int] else typ(text)
+        run = values.pop("run")
+        return dataclasses.replace(defaults, **run, **{
+            section: dataclasses.replace(getattr(defaults, section), **items)
+            for section, items in values.items()})
+    except ValueError as exc:
         raise ConfigError(str(exc)) from exc
-    seed_policy = run["seed_policy"]
-    if seed_policy not in ("fresh", "restart"):
-        raise ConfigError(f"run.seed_policy must be 'fresh' or 'restart', got {seed_policy!r}")
-    channel = run["channel"]
-    if channel not in ("a1", "a2"):
-        raise ConfigError(f"run.channel must be 'a1' or 'a2', got {channel!r}")
-    if report_every < 0 or checkpoint_every < 0 or heldout_size < 1:
-        raise ConfigError("report_every/checkpoint_every must be >= 0 and heldout_size >= 1")
-    return RunConfig(
-        lattice=lattice,
-        training=training,
-        report_every=report_every,
-        checkpoint_every=checkpoint_every,
-        seed_policy=seed_policy,
-        heldout_size=heldout_size,
-        channel=channel,
-        cfg_hash=config_hash(merged),
-    )
 
 
 def load_run_config(config_path: str | None, overrides: list[str], seed: int | None,
-                    defaults: dict = DEFAULTS) -> RunConfig:
+                    defaults: RunConfig = DEFAULTS) -> RunConfig:
     file_dict = _read_config_file(config_path) if config_path else None
-    return build_run_config(merge_config(file_dict, overrides, seed, defaults))
+    return build_run_config(merge_config(file_dict, overrides, seed), defaults)
 
 
 def _write_csv(path: str, cfg_hash: str, columns: list[str], rows) -> None:
@@ -242,54 +209,29 @@ def _write_pgm(path: str, values: np.ndarray) -> None:
         fh.write(scaled.tobytes())
 
 
-# A checkpoint fixes the lattice and the training config.  A resumed run may
-# still set how long it goes and how it steps (and anything under [run]);
-# these map those settings onto checkpoint_load's overrides.
-RESUME_SETTINGS = {"training.updates": "updates", "training.epsilon": "epsilon",
-                   "run.seed_policy": "seed_policy"}
+def _setting(rc: RunConfig, setting: str):
+    """The value of a 'section.key' setting in rc."""
+    section, _, key = setting.partition(".")
+    return getattr(rc if section == "run" else getattr(rc, section), key)
 
 
-def _resume(path: str, file_dict: dict | None, overrides: list[str], seed: int | None,
-            rc: RunConfig) -> TrainerState:
-    """Load a checkpoint with the resume settings that were given.
+def _resume(path: str, merged: dict[str, str], rc: RunConfig) -> tuple[TrainerState, RunConfig]:
+    """Load a checkpoint, changing the RESUMABLE settings that were given,
+    and return it with the config the resumed run runs.
 
     Any other [lattice] or [training] setting that was given (config file,
     --override or --seed) must equal the checkpoint's; one that differs is
     a ConfigError, because the run would otherwise ignore it.
     """
-    given = {f"{section}.{key}" for section, items in (file_dict or {}).items() for key in items}
-    given |= {item.partition("=")[0] for item in overrides}
-    if seed is not None:
-        given.add("training.seed")
-    values = {"updates": rc.training.updates, "epsilon": rc.training.epsilon,
-              "seed_policy": rc.seed_policy}
-    ck_overrides = {key: values[key] for setting, key in RESUME_SETTINGS.items() if setting in given}
-    state = checkpoint_load(path, ck_overrides or None)
-    sections = {"lattice": (rc.lattice, state.lattice_cfg), "training": (rc.training, state.tcfg)}
-    changed = []
-    for setting in sorted(given - RESUME_SETTINGS.keys()):
-        section, _, key = setting.partition(".")
-        if section in sections:
-            wanted, kept = sections[section]
-            if getattr(wanted, key) != getattr(kept, key):
-                changed.append(setting)
+    state = checkpoint_load(path, {setting.partition(".")[2]: _setting(rc, setting)
+                                   for setting in merged if setting in RESUMABLE} or None)
+    ran = dataclasses.replace(rc, lattice=state.lattice_cfg, training=state.tcfg,
+                              seed_policy=state.seed_policy)
+    changed = [setting for setting in sorted(merged) if _setting(ran, setting) != _setting(rc, setting)]
     if changed:
         raise ConfigError(f"a resumed run keeps the checkpoint's lattice and training settings; "
                           f"cannot change {', '.join(changed)}")
-    return state
-
-
-def _effective_config(merged: dict, state: TrainerState) -> dict[str, dict[str, str]]:
-    """merged with the lattice, training and seed policy a resumed run uses,
-    each value written as the CLI defaults write it."""
-    def text(value) -> str:
-        return ",".join(str(v) for v in value) if isinstance(value, tuple) else repr(value)
-
-    out = copy.deepcopy(merged)
-    for section, cfg in (("lattice", state.lattice_cfg), ("training", state.tcfg)):
-        out[section] = {key: text(value) for key, value in dataclasses.asdict(cfg).items()}
-    out["run"]["seed_policy"] = state.seed_policy
-    return out
+    return state, ran
 
 
 def cmd_train(args) -> int:
@@ -299,15 +241,14 @@ def cmd_train(args) -> int:
     # validated and hashed like the [run] keys they set
     for key in ("report_every", "checkpoint_every", "channel"):
         if getattr(args, key) is not None:
-            merged["run"][key] = str(getattr(args, key))
+            merged[f"run.{key}"] = str(getattr(args, key))
     rc = build_run_config(merged)
 
     if args.resume:
-        state = _resume(args.resume, file_dict, args.override, args.seed, rc)
-        rc.lattice, rc.training, rc.seed_policy = state.lattice_cfg, state.tcfg, state.seed_policy
-        rc.cfg_hash = config_hash(_effective_config(merged, state))
+        state, rc = _resume(args.resume, merged, rc)
     else:
         state = new_state(rc.lattice, rc.training, rc.seed_policy)
+    cfg_hash = config_hash(rc)
 
     for warning in validate_kappa(rc.training, rc.lattice):
         print(f"warning: {warning}", file=sys.stderr)
@@ -343,23 +284,23 @@ def cmd_train(args) -> int:
             record(state)
     finally:
         # a diverged or interrupted run keeps the rows recorded so far
-        _write_csv(os.path.join(out_dir, "objective_trace.csv"), rc.cfg_hash,
+        _write_csv(os.path.join(out_dir, "objective_trace.csv"), cfg_hash,
                    ["step", "d1", "d2", "total"], trace_rows)
         if state.tcfg.s == 2:
-            _write_csv(os.path.join(out_dir, "dominance_history.csv"), rc.cfg_hash,
+            _write_csv(os.path.join(out_dir, "dominance_history.csv"), cfg_hash,
                        ["step", "node_index", "a1", "a2"], history_rows)
 
     if state.tcfg.s == 2:
         prof = dominance(state)
         rows = [(idx, prof.a1[idx], prof.a2[idx]) for idx in range(prof.a1.size)]
-        _write_csv(os.path.join(out_dir, "dominance.csv"), rc.cfg_hash,
+        _write_csv(os.path.join(out_dir, "dominance.csv"), cfg_hash,
                    ["node_index", "a1", "a2"], rows)
         if state.lattice_cfg.node_dims[0] > 1:
             channel = prof.a1 if rc.channel == "a1" else prof.a2
             _write_pgm(os.path.join(out_dir, f"dominance_{rc.channel}.pgm"),
                        channel.reshape(state.lattice_cfg.node_dims))
     checkpoint_save(state, os.path.join(out_dir, "checkpoint_final.ckpt"))
-    print(f"finished at step {state.step}; outputs in {out_dir} (config {rc.cfg_hash})")
+    print(f"finished at step {state.step}; outputs in {out_dir} (config {cfg_hash})")
     return EXIT_OK
 
 
@@ -416,10 +357,8 @@ def cmd_phase(args) -> int:
     if args.m_min < 2 or args.m_max <= args.m_min or args.m_step <= 0:
         raise ConfigError("need 2 <= m-min < m-max and m-step > 0")
     n_values = _parse_n_list(args.n_list)
-    cfg_hash = config_hash({"phase": {
-        "m_min": str(args.m_min), "m_max": str(args.m_max),
-        "m_step": str(args.m_step), "n_list": args.n_list,
-    }})
+    cfg_hash = config_hash({"m_min": args.m_min, "m_max": args.m_max, "m_step": args.m_step,
+                            "n_list": n_values})
     os.makedirs(args.out_dir, exist_ok=True)
     m_values = np.arange(args.m_min, args.m_max + 0.5 * args.m_step, args.m_step)
 
@@ -475,7 +414,7 @@ def build_parser() -> argparse.ArgumentParser:
     train.add_argument("--resume", help="checkpoint file to continue from")
     train.add_argument("--report-every", type=int, default=None)
     train.add_argument("--checkpoint-every", type=int, default=None)
-    train.add_argument("--channel", choices=("a1", "a2"), default=None,
+    train.add_argument("--channel", choices=CHANNELS, default=None,
                        help="dominance channel for the 2D graymap export")
     train.add_argument("--override", action="append", default=[],
                        metavar="SECTION.KEY=VALUE")

@@ -16,6 +16,7 @@ import numpy as np
 
 from .lattice import LatticeConfig
 from .objective import SampleSet
+from .schema import check_field_types
 
 TWO_PI = 2.0 * math.pi
 
@@ -46,6 +47,7 @@ class TrainingConfig:
     updates: int = 0
 
     def __post_init__(self):
+        check_field_types(self)
         if not self.kappa > 0:
             raise ValueError("kappa must be positive")
         if self.nu < 0:

@@ -21,18 +21,9 @@ import numpy as np
 from scipy import sparse
 from scipy.sparse import _sparsetools  # private: the kernel behind scipy's own CSR products
 
+from .schema import check_field_types
+
 NodeIndex = tuple[int, int]
-
-
-def _as_pair(name: str, value) -> tuple[int, int]:
-    try:
-        a, b = value
-    except (TypeError, ValueError):
-        raise ValueError(f"{name} must be a pair of integers, got {value!r}")
-    a, b = int(a), int(b)
-    if (a, b) != tuple(value):
-        raise ValueError(f"{name} must contain integers, got {value!r}")
-    return a, b
 
 
 @dataclass(frozen=True)
@@ -54,12 +45,12 @@ class LatticeConfig:
     leakage_window: tuple[int, int]
 
     def __post_init__(self):
-        object.__setattr__(self, "node_dims", _as_pair("node_dims", self.node_dims))
-        for name in ("input_window", "neighbourhood_window", "leakage_window"):
-            pair = _as_pair(name, getattr(self, name))
-            if any(v < 1 or v % 2 == 0 for v in pair):
-                raise ValueError(f"{name} extents must be odd positive integers, got {pair}")
+        check_field_types(self)
+        for name in ("node_dims", "input_window", "neighbourhood_window", "leakage_window"):
+            pair = tuple(int(v) for v in getattr(self, name))  # a JSON list in a checkpoint
             object.__setattr__(self, name, pair)
+            if name != "node_dims" and any(v < 1 or v % 2 == 0 for v in pair):
+                raise ValueError(f"{name} extents must be odd positive integers, got {pair}")
         if any(v < 1 for v in self.node_dims):
             raise ValueError(f"node_dims must be positive, got {self.node_dims}")
 

@@ -35,7 +35,13 @@ GRAD_MEAN_EPS = 1e-12
 
 CHECKPOINT_MAGIC = b"PMDNETC1"
 CHECKPOINT_VERSION = 1
-OVERRIDABLE_KEYS = frozenset({"updates", "epsilon", "seed_policy"})
+
+# "fresh" continues the data stream across run segments; "restart" replays it
+SEED_POLICIES = ("fresh", "restart")
+# The settings stored in a checkpoint that a resumed run may change: how long
+# it runs and how it steps, not what the model is.  A run's other [run]
+# settings are not stored in a checkpoint, so a resume may change them too.
+RESUMABLE = ("training.updates", "training.epsilon", "run.seed_policy")
 
 
 class CheckpointError(RuntimeError):
@@ -67,7 +73,7 @@ class TrainerState:
     rates: np.ndarray       # last applied (bias, weight, ref) rates
     diameters: np.ndarray   # last used per-type spreads
     data_rng: np.random.Generator
-    seed_policy: str        # "fresh" (infinite stream) or "restart"
+    seed_policy: str        # one of SEED_POLICIES
 
     @property
     def lattice(self) -> Lattice:
@@ -96,8 +102,8 @@ def init_params(lattice: Lattice, rng: np.random.Generator) -> NodeParams:
 
 
 def new_state(lattice_cfg: LatticeConfig, tcfg: TrainingConfig, seed_policy: str = "fresh") -> TrainerState:
-    if seed_policy not in ("fresh", "restart"):
-        raise ValueError(f"seed_policy must be 'fresh' or 'restart', got {seed_policy!r}")
+    if seed_policy not in SEED_POLICIES:
+        raise ValueError(f"seed_policy must be one of {SEED_POLICIES}, got {seed_policy!r}")
     lattice = get_lattice(lattice_cfg)
     init_rng = np.random.default_rng([tcfg.seed, 0])
     params = init_params(lattice, init_rng)
@@ -283,8 +289,8 @@ def checkpoint_save(state: TrainerState, path) -> None:
 def checkpoint_load(path, overrides: dict | None = None) -> TrainerState:
     """Restore a TrainerState; load(save(state)) is bit-identical.
 
-    `overrides` may change updates, epsilon or seed_policy only: how long
-    the run goes and how it steps, not what the model is.
+    `overrides` may change only the settings RESUMABLE names, each keyed by
+    its name in the header section (updates, epsilon, seed_policy).
     """
     with open(path, "rb") as fh:
         blob = fh.read()
@@ -306,9 +312,11 @@ def checkpoint_load(path, overrides: dict | None = None) -> TrainerState:
         lattice_cfg = LatticeConfig(**header["lattice"])
         tcfg = TrainingConfig(**header["training"])
         seed_policy = header["seed_policy"]
-        if seed_policy not in ("fresh", "restart"):
+        if seed_policy not in SEED_POLICIES:
             raise ValueError(f"bad seed_policy {seed_policy!r}")
-        step = int(header["step"])
+        step = header["step"]
+        if type(step) is not int:  # a JSON int; a float or bool is malformed
+            raise ValueError(f"step must be an int, got {step!r}")
         rates = np.array(header["rates"], dtype=float)
         diameters = np.array(header["diameters"], dtype=float)
         if step < 0 or rates.shape != (3,) or diameters.shape != (3,):
@@ -321,17 +329,15 @@ def checkpoint_load(path, overrides: dict | None = None) -> TrainerState:
     except (KeyError, TypeError, ValueError, AttributeError) as exc:
         raise CheckpointError(f"malformed checkpoint header: {exc!r}") from exc
     if overrides:
-        unknown = set(overrides) - OVERRIDABLE_KEYS
+        allowed = {setting.partition(".")[2] for setting in RESUMABLE}
+        unknown = set(overrides) - allowed
         if unknown:
-            raise ValueError(f"only {sorted(OVERRIDABLE_KEYS)} may be overridden, got {sorted(unknown)}")
-        if "updates" in overrides:
-            tcfg = dataclasses.replace(tcfg, updates=int(overrides["updates"]))
-        if "epsilon" in overrides:
-            tcfg = dataclasses.replace(tcfg, epsilon=float(overrides["epsilon"]))
-        if "seed_policy" in overrides:
-            seed_policy = str(overrides["seed_policy"])
-            if seed_policy not in ("fresh", "restart"):
-                raise ValueError(f"bad seed_policy override {seed_policy!r}")
+            raise ValueError(f"only {sorted(allowed)} may be overridden, got {sorted(unknown)}")
+        seed_policy = overrides.get("seed_policy", seed_policy)
+        if seed_policy not in SEED_POLICIES:
+            raise ValueError(f"bad seed_policy override {seed_policy!r}")
+        tcfg = dataclasses.replace(tcfg, **{key: value for key, value in overrides.items()
+                                            if f"training.{key}" in RESUMABLE})
 
     lattice = get_lattice(lattice_cfg)
     m, k = lattice.num_nodes, lattice.window_len

@@ -10,6 +10,7 @@ from pmdnet.cli import (
     ConfigError,
     build_run_config,
     config_hash,
+    load_run_config,
     main,
     merge_config,
 )
@@ -60,16 +61,19 @@ def csv_hash(path):
 
 
 def test_merge_config_defaults_and_overrides():
-    merged = merge_config(None, [], None)
-    assert merged["lattice"]["node_dims"] == "1,100"
-    assert merged["training"]["kappa"] == "0.3"
+    rc = build_run_config(merge_config(None, [], None))
+    assert rc == DEFAULTS
+    assert rc.lattice.node_dims == (1, 100)
+    assert rc.training.kappa == 0.3
 
     merged = merge_config({"training": {"kappa": "0.5"}}, ["run.channel=a2"], 7)
-    assert merged["training"]["kappa"] == "0.5"
-    assert merged["run"]["channel"] == "a2"
-    assert merged["training"]["seed"] == "7"
+    assert merged == {"training.kappa": "0.5", "run.channel": "a2", "training.seed": "7"}
+    rc = build_run_config(merged)
+    assert rc.training.kappa == 0.5
+    assert rc.channel == "a2"
+    assert rc.training.seed == 7
     # defaults are not mutated in place
-    assert DEFAULTS["training"]["kappa"] == "0.3"
+    assert DEFAULTS.training.kappa == 0.3
 
 
 def test_merge_config_rejects_unknown_targets():
@@ -84,9 +88,9 @@ def test_merge_config_rejects_unknown_targets():
 
 
 def test_config_hash_is_stable():
-    a = config_hash(merge_config(None, [], None))
-    b = config_hash(merge_config(None, [], None))
-    c = config_hash(merge_config(None, ["training.seed=1"], None))
+    a = config_hash(load_run_config(None, [], None))
+    b = config_hash(load_run_config(None, [], None))
+    c = config_hash(load_run_config(None, ["training.seed=1"], None))
     assert a == b
     assert a != c
     assert len(a) == 12 and all(ch in "0123456789abcdef" for ch in a)
@@ -97,7 +101,7 @@ def test_build_run_config_validation():
     rc = build_run_config(base)
     assert rc.lattice.node_dims == (1, 100)
     assert rc.training.n == 400
-    assert rc.cfg_hash == config_hash(base)
+    assert config_hash(rc) == config_hash(DEFAULTS)
 
     for override in (["lattice.node_dims=1,2,3"], ["training.kappa=fast"],
                      ["run.seed_policy=maybe"], ["run.channel=a3"],
@@ -405,12 +409,61 @@ def test_resume_from_malformed_header_exits_2(tmp_path, capsys):
     out = tmp_path / "out"
     assert main(["train", "--config", str(ini), "--out-dir", str(out)]) == 0
     bad = tmp_path / "bad.ckpt"
-    bad.write_bytes(rewrite_header((out / "checkpoint_final.ckpt").read_bytes(),
-                                   lambda h: {**h, "lattice": {}}))
+    # a float run length is refused before it can reach range()
+    for edit in (lambda h: {**h, "lattice": {}},
+                 lambda h: {**h, "training": {**h["training"], "updates": 3.7}}):
+        bad.write_bytes(rewrite_header((out / "checkpoint_final.ckpt").read_bytes(), edit))
+        capsys.readouterr()
+        assert main(["train", "--resume", str(bad), "--out-dir", str(tmp_path / "r")]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and err.startswith("error: malformed checkpoint header")
+
+
+def test_spellings_of_one_config_give_one_hash(tmp_path, capsys):
+    # the hash is taken over the typed values, so every spelling of them
+    # writes the same files, hash line included
+    outs = []
+    for kappa, node_dims in (("0.3", "1,100"), ("0.30", "1, 100"), ("3e-1", "1,100")):
+        ini = tmp_path / f"{kappa}.ini"
+        ini.write_text(f"[lattice]\nnode_dims = {node_dims}\n[training]\nkappa = {kappa}\nupdates = 4\n")
+        outs.append(tmp_path / f"out{len(outs)}")
+        assert main(["train", "--config", str(ini), "--out-dir", str(outs[-1])]) == 0
+    outs.append(tmp_path / "defaults")
+    assert main(["train", "--override", "training.updates=4", "--out-dir", str(outs[-1])]) == 0
     capsys.readouterr()
-    assert main(["train", "--resume", str(bad), "--out-dir", str(tmp_path / "r")]) == 2
-    err = capsys.readouterr().err
-    assert err.count("\n") == 1 and err.startswith("error: malformed checkpoint header")
+    for fname in ("objective_trace.csv", "dominance_history.csv", "dominance.csv",
+                  "checkpoint_final.ckpt"):
+        assert len({(out / fname).read_bytes() for out in outs}) == 1, fname
+
+
+def test_resume_in_another_spelling_keeps_the_run_hash(tmp_path, capsys):
+    ini = write_tiny(tmp_path)
+    full = tmp_path / "full"
+    assert main(["train", "--config", str(ini), "--out-dir", str(full)]) == 0
+    text = ini.read_text()
+    for old, new in (("node_dims = 1,12", "node_dims = 1, 12"), ("nu = 0.1", "nu = 0.10"),
+                     ("epsilon = 0.01", "epsilon = 1e-2"), ("heldout_size = 8", "heldout_size = 08")):
+        assert old in text
+        text = text.replace(old, new)
+    respelled = tmp_path / "respelled.ini"
+    respelled.write_text(text)
+    resumed = tmp_path / "resumed"
+    assert main(["train", "--resume", str(full / "checkpoint_000020.ckpt"),
+                 "--config", str(respelled), "--out-dir", str(resumed)]) == 0
+    capsys.readouterr()
+    assert (full / "checkpoint_final.ckpt").read_bytes() == (resumed / "checkpoint_final.ckpt").read_bytes()
+    for fname in ("objective_trace.csv", "dominance_history.csv", "dominance.csv"):
+        assert csv_hash(resumed / fname) == csv_hash(full / fname)
+
+
+def test_phase_hash_reads_values_not_spelling(tmp_path, capsys):
+    hashes = set()
+    for name, n_list in (("a", "1,2,inf"), ("b", "1, 2, inf"), ("c", "1.0,2,infinity")):
+        assert main(["phase", "--out-dir", str(tmp_path / name), "--m-max", "10",
+                     "--n-list", n_list]) == 0
+        hashes.add(csv_hash(tmp_path / name / "phase_boundaries.csv"))
+    capsys.readouterr()
+    assert len(hashes) == 1
 
 
 def test_train_2d_writes_graymap(tmp_path, capsys):

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st_
+from scipy import sparse
 
 from pmdnet.lattice import (
     Lattice,
@@ -221,3 +222,21 @@ def test_sum_operators_equal_bincount_bitwise(instance):
         w = rng.standard_normal(len(targets)) * 10.0 ** rng.uniform(-13, 13, len(targets))
         assert op.shape == (size, len(targets))
         assert op(w).tobytes() == np.bincount(targets, weights=w, minlength=size).tobytes()
+
+
+@pytest.mark.parametrize("cfg", [
+    STRIPE_1D,
+    LatticeConfig(node_dims=(40, 40), input_window=(9, 9),
+                  neighbourhood_window=(7, 7), leakage_window=(5, 5)),
+    LatticeConfig(node_dims=(1, 8), input_window=(1, 5),
+                  neighbourhood_window=(1, 3), leakage_window=(1, 3)),
+], ids=["stripe", "40x40", "1x8"])
+def test_sum_operators_equal_scipy_product_bitwise(cfg):
+    # SumOperator calls scipy's private CSR kernel; a scipy release that
+    # changes that kernel must fail here rather than change results
+    lat = get_lattice(cfg)
+    rng = np.random.default_rng(0)
+    for op in (lat.nbr_row_sum, lat.nbr_col_sum, lat.win_cell_sum):
+        w = rng.standard_normal(op.shape[1]) * 10.0 ** rng.uniform(-13, 13, op.shape[1])
+        product = sparse.csr_array((op.data, op.indices, op.indptr), shape=op.shape) @ w
+        assert op(w).tobytes() == product.tobytes()

@@ -9,10 +9,12 @@ import numpy as np
 import pytest
 
 from pmdnet.activation import NodeParams
+from pmdnet.cli import DEFAULTS, GRADCHECK_DEFAULTS, SECTIONS, config_hash, load_run_config, main
 from pmdnet.datagen import TrainingConfig, TrainingVector, parity_mask
 from pmdnet.gradients import GradientSet, gradient_set_from_states, build_state
 from pmdnet.lattice import LatticeConfig, get_lattice
 from pmdnet.trainer import (
+    RESUMABLE,
     CheckpointError,
     TrainingDivergedError,
     adapt_rates,
@@ -376,15 +378,43 @@ def test_failed_checkpoint_write_keeps_the_old_checkpoint(tmp_path, monkeypatch)
     assert sorted(f.name for f in tmp_path.iterdir()) == ["w.ckpt"]
 
 
-def test_checkpoint_header_follows_config_fields(tmp_path):
+def read_header(blob: bytes) -> dict:
+    (header_len,) = struct.unpack_from("<Q", blob, 12)
+    return json.loads(blob[20:20 + header_len])
+
+
+def test_checkpoint_header_follows_config_fields(tmp_path, capsys):
     p = tmp_path / "h.ckpt"
     checkpoint_save(new_state(SMALL_CFG, SMALL_TC), p)
     blob = p.read_bytes()
-    (header_len,) = struct.unpack_from("<Q", blob, 12)
-    header = json.loads(blob[20:20 + header_len])
+    header = read_header(blob)
     assert set(header["lattice"]) == {f.name for f in dataclasses.fields(LatticeConfig)}
     assert set(header["training"]) == {f.name for f in dataclasses.fields(TrainingConfig)}
     assert rewrite_header(blob, lambda h: h) == blob
+
+    # the command line runs the preset instances when given nothing
+    assert load_run_config(None, [], None) == DEFAULTS
+    assert load_run_config(None, [], None, defaults=GRADCHECK_DEFAULTS) == GRADCHECK_DEFAULTS
+    assert dataclasses.replace(GRADCHECK_DEFAULTS, lattice=DEFAULTS.lattice,
+                               training=DEFAULTS.training) == DEFAULTS
+    out = tmp_path / "out"
+    assert main(["train", "--override", "training.updates=0", "--out-dir", str(out)]) == 0
+    capsys.readouterr()
+    header = read_header((out / "checkpoint_final.ckpt").read_bytes())
+    assert LatticeConfig(**header["lattice"]) == DEFAULTS.lattice
+    assert TrainingConfig(**header["training"]) == dataclasses.replace(DEFAULTS.training, updates=0)
+    # a checkpoint's header sections and the [run] settings rebuild the
+    # hash that the run's CSVs carry
+    run = {"report_every": 100, "checkpoint_every": 0, "seed_policy": header["seed_policy"],
+           "heldout_size": 64, "channel": "a1"}
+    rebuilt = config_hash({"lattice": header["lattice"], "training": header["training"], **run})
+    for fname in ("objective_trace.csv", "dominance.csv"):
+        assert (out / fname).read_text().splitlines()[0] == f"# config_hash={rebuilt}"
+
+    # the settings a resume may change are real config fields
+    for setting in RESUMABLE:
+        section, _, key = setting.partition(".")
+        assert key in SECTIONS[section]
 
 
 def test_checkpoint_rejects_malformed_header(tmp_path):
@@ -423,6 +453,15 @@ def test_checkpoint_rejects_malformed_header(tmp_path):
         put(["step"], -5),
         put(["rng"], "PCG64"),
         put(["rng", "state"], None),
+        # a float where an int is declared, and a bool anywhere
+        put(["training", "n"], 5.5),
+        put(["training", "s"], 2.0),
+        put(["training", "seed"], 1.5),
+        put(["training", "updates"], 3.7),
+        put(["training", "kappa"], True),
+        put(["lattice", "node_dims"], [1.0, 12]),
+        put(["step"], 2.5),
+        put(["step"], True),
         lambda h: [h],
         lambda h: b"{not json",
         lambda h: b"\xff\xfe",
