@@ -1,10 +1,11 @@
 """Node activities and posterior probability constructions.
 
 The activity Q(x|y) of node y is a sigmoid of w(y) . x + b(y) evaluated on
-the node's input window.  Posteriors come in four flavours: the simple
-normalised posterior, the localized posterior over one neighbourhood
-window, the scalable partitioned posterior (average of localized posteriors
-over all windows containing the node), and the leaked posterior.
+the node's input window.  The localized posterior Pr(y|x; y') normalises
+the activities over one neighbourhood window N(y'); its entries are kept in
+the lattice's neighbourhood layout.  The scalable partitioned posterior
+averages the localized posteriors of all windows containing y.  The leaked
+posterior, L^T applied to it, is formed in objective.forward.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .lattice import Lattice, LatticeConfig, LeakageMatrix, NodeIndex, get_lattice
+from .lattice import Lattice
 
 
 class DegenerateActivityError(ValueError):
@@ -67,15 +68,6 @@ def stable_sigmoid(z):
     return out if out.ndim else float(out)
 
 
-def activity_sigmoid(x_window: np.ndarray, weights: np.ndarray, bias: float) -> float:
-    """Sigmoid activity of one node on its windowed input."""
-    x_window = np.asarray(x_window, dtype=float)
-    weights = np.asarray(weights, dtype=float)
-    if x_window.shape != weights.shape:
-        raise ValueError(f"window shape {x_window.shape} != weight shape {weights.shape}")
-    return float(stable_sigmoid(np.dot(weights, x_window) + bias))
-
-
 def activities(x: np.ndarray, lattice: Lattice, params: NodeParams) -> np.ndarray:
     """Sigmoid activities of all nodes for one input vector, shape (M,)."""
     xw = lattice.gather(x)
@@ -83,48 +75,13 @@ def activities(x: np.ndarray, lattice: Lattice, params: NodeParams) -> np.ndarra
     return stable_sigmoid(logits)
 
 
-def simple_posterior(q: np.ndarray) -> np.ndarray:
-    """Normalise activities over the whole lattice: Q(y) / sum Q."""
-    q = np.asarray(q, dtype=float)
-    if np.any(q < 0) or not np.all(np.isfinite(q)):
-        raise ValueError("activities must be finite and nonnegative")
-    total = q.sum()
-    if total <= 0.0:
-        raise DegenerateActivityError("all activities are zero")
-    return q / total
-
-
-def _as_lattice(obj) -> Lattice:
-    if isinstance(obj, Lattice):
-        return obj
-    if isinstance(obj, LatticeConfig):
-        return get_lattice(obj)
-    raise TypeError(f"expected Lattice or LatticeConfig, got {type(obj)!r}")
-
-
-def window_denominators(q: np.ndarray, lattice) -> np.ndarray:
+def window_denominators(q: np.ndarray, lattice: Lattice) -> np.ndarray:
     """Per-neighbourhood activity totals: denom[y'] = sum over N(y') of Q."""
-    lat = _as_lattice(lattice)
-    q = np.asarray(q, dtype=float)
-    if q.shape != (lat.num_nodes,):
-        raise ValueError("Q must have one entry per node")
-    denom = lat.nbr_matrix @ q
+    denom = lattice.nbr_sum(np.asarray(q, dtype=float))
     if np.any(denom <= 0.0):
         dead = int(np.argmin(denom))
-        raise DegenerateActivityError(f"neighbourhood of node {lat.coords(dead)} has zero activity")
+        raise DegenerateActivityError(f"neighbourhood of node {lattice.coords(dead)} has zero activity")
     return denom
-
-
-def localized_posterior(q: np.ndarray, cfg, y_prime: NodeIndex) -> dict[NodeIndex, float]:
-    """Posterior restricted to the neighbourhood of y':
-    Pr(y|x; y') = Q(y) / sum over N(y') of Q, supported on N(y') only."""
-    lat = _as_lattice(cfg)
-    q = np.asarray(q, dtype=float)
-    row = lat.nbr_row(lat.flat(y_prime))
-    total = q[row].sum()
-    if total <= 0.0:
-        raise DegenerateActivityError(f"neighbourhood of node {tuple(y_prime)} has zero activity")
-    return {lat.coords(z): float(q[z] / total) for z in row}
 
 
 def localized_posterior_entries(q: np.ndarray, lattice: Lattice) -> np.ndarray:
@@ -136,36 +93,23 @@ def localized_posterior_entries(q: np.ndarray, lattice: Lattice) -> np.ndarray:
     return q[lattice.nbr_indices] / window_denominators(q, lattice)[lattice.nbr_rows]
 
 
-def localized_posterior_rows(q: np.ndarray, lattice):
+def localized_posterior_rows(q: np.ndarray, lattice: Lattice):
     """All localized posteriors as a sparse CSR matrix P with
     P[y', y] = Pr(y|x; y') on row support N(y').  Rows sum to 1."""
     from scipy import sparse
 
-    lat = _as_lattice(lattice)
+    layout = lattice.nbr_sum
     return sparse.csr_array(
-        (localized_posterior_entries(q, lat), lat.nbr_indices, lat.nbr_indptr),
-        shape=(lat.num_nodes, lat.num_nodes),
+        (localized_posterior_entries(q, lattice), layout.indices, layout.indptr), shape=layout.shape
     )
 
 
-def pmd_posterior(q: np.ndarray, cfg) -> np.ndarray:
+def pmd_posterior(q: np.ndarray, lattice: Lattice) -> np.ndarray:
     """Scalable partitioned posterior.
 
     Pr(y|x) = (1/M) * sum over y' in the inverse neighbourhood of y of
     Pr(y|x; y').  Sums to 1 exactly because each localized posterior
     contributes total mass 1 and there are M of them.
     """
-    lat = _as_lattice(cfg)
-    return lat.nbr_col_sum(localized_posterior_entries(q, lat)) / lat.num_nodes
+    return lattice.nbr_col_sum(localized_posterior_entries(q, lattice)) / lattice.num_nodes
 
-
-def apply_leakage(post: np.ndarray, leakage: LeakageMatrix) -> np.ndarray:
-    """Leaked posterior: out(y) = sum_y' Pr(y|y') post(y').
-
-    With L[y, y'] = Pr(y'|y) this is L^T applied to the posterior; row
-    stochasticity of L preserves normalisation.
-    """
-    post = np.asarray(post, dtype=float)
-    if post.shape != (leakage.num_nodes,):
-        raise ValueError("posterior length does not match leakage matrix")
-    return leakage.apply_transpose(post)

@@ -157,14 +157,17 @@ def merge_config(file_dict: dict | None, overrides: list[str], seed: int | None)
     return merged
 
 
-def _pair(text: str, what: str) -> tuple[int, int]:
-    parts = [p.strip() for p in text.split(",")]
-    if len(parts) != 2:
-        raise ValueError(f"{what} must be two comma-separated integers, got {text!r}")
+def _parse(typ, text: str, setting: str):
+    """text parsed as the declared type typ; a parse error names the setting."""
+    if typ == tuple[int, int]:
+        parts = [p.strip() for p in text.split(",")]
+        if len(parts) != 2:
+            raise ValueError(f"{setting} must be two comma-separated integers, got {text!r}")
+        return tuple(_parse(int, part, setting) for part in parts)
     try:
-        return (int(parts[0]), int(parts[1]))
+        return typ(text)
     except ValueError as exc:
-        raise ValueError(f"{what}: {exc}") from exc
+        raise ValueError(f"{setting}: {exc}") from exc
 
 
 def build_run_config(merged: dict[str, str], defaults: RunConfig = DEFAULTS) -> RunConfig:
@@ -173,8 +176,7 @@ def build_run_config(merged: dict[str, str], defaults: RunConfig = DEFAULTS) -> 
     try:
         for setting, text in merged.items():
             section, _, key = setting.partition(".")
-            typ = SECTIONS[section][key]
-            values[section][key] = _pair(text, setting) if typ == tuple[int, int] else typ(text)
+            values[section][key] = _parse(SECTIONS[section][key], text, setting)
         run = values.pop("run")
         return dataclasses.replace(defaults, **run, **{
             section: dataclasses.replace(getattr(defaults, section), **items)
@@ -325,8 +327,7 @@ def cmd_gradcheck(args) -> int:
     sample_rng = np.random.default_rng([seed, 4])
     samples = SampleSet(vectors=sample_rng.uniform(-1.0, 1.0, size=(3, lattice.input_size)))
     report = finite_difference_check(
-        samples, lattice, params, lattice.leakage, float(rc.training.n),
-        corrupt_first_component=args.corrupt)
+        samples, lattice, params, float(rc.training.n), corrupt_first_component=args.corrupt)
     print(report.format_text())
     if report.passed(1e-5):
         print(f"PASS max relative error {report.max_rel_error:.3e} <= 1e-05")

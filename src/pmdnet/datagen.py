@@ -15,14 +15,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .lattice import LatticeConfig
-from .objective import SampleSet
 from .schema import check_field_types
 
 TWO_PI = 2.0 * math.pi
-
-
-class DegenerateDataError(ValueError):
-    """Raised when a sample set cannot be normalised (constant data)."""
 
 
 @dataclass(frozen=True)
@@ -48,6 +43,9 @@ class TrainingConfig:
 
     def __post_init__(self):
         check_field_types(self)
+        for name in ("kappa", "nu", "epsilon"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)!r}")
         if not self.kappa > 0:
             raise ValueError("kappa must be positive")
         if self.nu < 0:
@@ -60,15 +58,6 @@ class TrainingConfig:
             raise ValueError("epsilon must be positive")
         if self.updates < 0:
             raise ValueError("updates must be nonnegative")
-
-
-@dataclass(frozen=True)
-class TrainingVector:
-    """One training input over the padded input array plus the subspace
-    parity mask (0 = subspace 1 on even cells, 1 = subspace 2)."""
-
-    values: np.ndarray
-    parity: np.ndarray
 
 
 def parity_mask(cfg: LatticeConfig) -> np.ndarray:
@@ -90,8 +79,8 @@ def compose_1d(cfg: LatticeConfig, kappa: float, phases: tuple[float, ...], nois
     return vals.reshape(d1, d2)
 
 
-def gen_1d(tc: TrainingConfig, cfg: LatticeConfig, rng: np.random.Generator) -> TrainingVector:
-    """Draw one 1D training vector.
+def gen_1d(tc: TrainingConfig, cfg: LatticeConfig, rng: np.random.Generator) -> np.ndarray:
+    """Draw one 1D training vector over the padded input array.
 
     With s = 2 the even cells use one random phase and the odd cells an
     independent one.  Noise is uniform in [-nu/2, nu/2] per component and
@@ -104,11 +93,10 @@ def gen_1d(tc: TrainingConfig, cfg: LatticeConfig, rng: np.random.Generator) -> 
     else:
         phases = (rng.uniform(0.0, TWO_PI), rng.uniform(0.0, TWO_PI))
     noise = rng.uniform(-tc.nu / 2.0, tc.nu / 2.0, size=cfg.input_dims[1])
-    vals = compose_1d(cfg, tc.kappa, phases, noise)
-    return TrainingVector(values=vals, parity=parity_mask(cfg))
+    return compose_1d(cfg, tc.kappa, phases, noise)
 
 
-def gen_2d(tc: TrainingConfig, cfg: LatticeConfig, rng: np.random.Generator) -> TrainingVector:
+def gen_2d(tc: TrainingConfig, cfg: LatticeConfig, rng: np.random.Generator) -> np.ndarray:
     """Draw one 2D training vector: plane waves sin(kappa (u1 cos t + u2
     sin t) + phase) with random azimuth t, chessboard-interleaved when
     s = 2."""
@@ -124,7 +112,7 @@ def gen_2d(tc: TrainingConfig, cfg: LatticeConfig, rng: np.random.Generator) -> 
         mask = par == k if tc.s == 2 else np.ones_like(par, dtype=bool)
         vals[mask] = wave[mask]
     vals += rng.uniform(-tc.nu / 2.0, tc.nu / 2.0, size=(d1, d2))
-    return TrainingVector(values=vals, parity=par)
+    return vals
 
 
 def validate_kappa(tc: TrainingConfig, cfg: LatticeConfig) -> list[str]:
@@ -150,13 +138,3 @@ def validate_kappa(tc: TrainingConfig, cfg: LatticeConfig) -> list[str]:
             )
     return warnings
 
-
-def normalize_set(samples: SampleSet) -> SampleSet:
-    """Affine map sending the global minimum to -1 and maximum to +1, the
-    same map for every component of every vector.  Idempotent."""
-    lo = float(samples.vectors.min())
-    hi = float(samples.vectors.max())
-    if hi <= lo:
-        raise DegenerateDataError("constant sample set cannot be normalised")
-    scale = 2.0 / (hi - lo)
-    return SampleSet(vectors=(samples.vectors - lo) * scale - 1.0)

@@ -5,10 +5,11 @@ Per input vector, build_state takes the objective's own forward pass
 the coherent residual dbar) and adds the leakage-smoothed per-node
 quantities that the derivative formulas need.  gradient_set_from_states
 turns each state straight into the three totals the trainer and the
-finite-difference check read, and averages them over samples.  All
-neighbourhood sums run over the truncated sets from the lattice module with
-a single dummy index; the quadruple-sum expansions exist only in the test
-suite as an independent oracle.
+finite-difference check read, and averages them over samples.  Every
+function here reads the leakage from the Lattice it is given.  The
+neighbourhood sums (P v, P^T u) and L are the lattice's SumOperators, each
+a single pass over the truncated windows; the quadruple-sum expansions
+exist only in the test suite as an independent oracle.
 
 Derivatives (empirical average over samples, windowed):
 
@@ -44,7 +45,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .activation import NodeParams
-from .lattice import Lattice, LeakageMatrix
+from .lattice import Lattice
 from .objective import Forward, SampleSet, compute_D1_D2, forward
 
 
@@ -72,14 +73,14 @@ def _ptp(post: np.ndarray, lattice: Lattice, v: np.ndarray) -> np.ndarray:
     return lattice.nbr_col_sum(post * pv[lattice.nbr_rows])
 
 
-def build_state(x: np.ndarray, lattice: Lattice, params: NodeParams, leakage: LeakageMatrix) -> ActivationState:
+def build_state(x: np.ndarray, lattice: Lattice, params: NodeParams) -> ActivationState:
     """Evaluate and cache everything the derivative formulas need for one
     input vector."""
-    fw = forward(x, lattice, params, leakage)
+    fw = forward(x, lattice, params)
     dbar_win = fw.dbar[lattice.win_idx]
     h = np.einsum("ij,ij->i", fw.d_win, dbar_win)
-    le = leakage.apply(fw.e)
-    lh = leakage.apply(h)
+    le = lattice.leakage.apply(fw.e)
+    lh = lattice.leakage.apply(h)
     return ActivationState(
         **vars(fw), lattice=lattice, dbar_win=dbar_win, le=le, lh=lh,
         ptple=_ptp(fw.post, lattice, le), ptplh=_ptp(fw.post, lattice, lh),
@@ -142,15 +143,9 @@ def gradient_set_from_states(states, lattice: Lattice, n: float) -> GradientSet:
     return GradientSet(*totals)
 
 
-def _states(samples: SampleSet, lattice: Lattice, params: NodeParams, leakage: LeakageMatrix):
-    for x in samples.vectors:
-        yield build_state(x, lattice, params, leakage)
-
-
-def all_gradients(
-    samples: SampleSet, lattice: Lattice, params: NodeParams, leakage: LeakageMatrix, n: float
-) -> GradientSet:
-    return gradient_set_from_states(_states(samples, lattice, params, leakage), lattice, n)
+def all_gradients(samples: SampleSet, lattice: Lattice, params: NodeParams, n: float) -> GradientSet:
+    states = (build_state(x, lattice, params) for x in samples.vectors)
+    return gradient_set_from_states(states, lattice, n)
 
 
 FD_TOL = 1e-5
@@ -213,7 +208,6 @@ def finite_difference_check(
     samples: SampleSet,
     lattice: Lattice,
     params: NodeParams,
-    leakage: LeakageMatrix,
     n: float,
     step: float = 1e-5,
     corrupt_first_component: bool = False,
@@ -224,7 +218,7 @@ def finite_difference_check(
     corrupt_first_component is a sensitivity self-test: it perturbs one
     analytic ref-vector component so the check must fail.
     """
-    gs = all_gradients(samples, lattice, params, leakage, n)
+    gs = all_gradients(samples, lattice, params, n)
     analytic = {"bias": gs.bias_total, "weight": gs.weight_total, "ref": gs.ref_total}
     if corrupt_first_component:
         analytic["ref"].flat[0] = analytic["ref"].flat[0] * 1.1 + 1e-3
@@ -237,9 +231,9 @@ def finite_difference_check(
         for idx in range(flat.shape[0]):
             orig = flat[idx]
             flat[idx] = orig + step
-            f_plus = compute_D1_D2(samples, lattice, params, leakage, n).total
+            f_plus = compute_D1_D2(samples, lattice, params, n).total
             flat[idx] = orig - step
-            f_minus = compute_D1_D2(samples, lattice, params, leakage, n).total
+            f_minus = compute_D1_D2(samples, lattice, params, n).total
             flat[idx] = orig
             numeric = (f_plus - f_minus) / (2.0 * step)
             noise = np.finfo(float).eps * max(abs(f_plus), abs(f_minus)) / step

@@ -10,6 +10,11 @@ m1 = 1).  Every node owns three rectangular top-hat windows:
   input array is padded by (window - 1) cells in total per dimension.
 
 All boundaries are non-periodic.
+
+Every fixed sparse map on the lattice is a SumOperator, laid out once per
+Lattice: the neighbourhood window sums, the row and column sums of the
+partitioned posterior, the window-cell sums into input space, and the
+leakage L and its transpose.
 """
 
 from __future__ import annotations
@@ -18,7 +23,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy import sparse
 from scipy.sparse import _sparsetools  # private: the kernel behind scipy's own CSR products
 
 from .schema import check_field_types
@@ -94,23 +98,6 @@ def neighbourhood(cfg: LatticeConfig, y: NodeIndex) -> set[NodeIndex]:
     }
 
 
-def inverse_neighbourhood(cfg: LatticeConfig, y: NodeIndex) -> set[NodeIndex]:
-    """The set of nodes whose neighbourhood contains y.
-
-    Computed by a direct scan of every node's neighbourhood.  Equality with
-    neighbourhood(cfg, y) is a property of symmetric truncated top-hats, not
-    an assumption made here.
-    """
-    y1, y2 = _check_node(cfg, y)
-    m1, m2 = cfg.node_dims
-    out = set()
-    for z1 in range(m1):
-        for z2 in range(m2):
-            if (y1, y2) in neighbourhood(cfg, (z1, z2)):
-                out.add((z1, z2))
-    return out
-
-
 def input_window(cfg: LatticeConfig, y: NodeIndex) -> tuple[slice, slice]:
     """Index ranges of node y's input window in the padded input array.
 
@@ -120,35 +107,6 @@ def input_window(cfg: LatticeConfig, y: NodeIndex) -> tuple[slice, slice]:
     y1, y2 = _check_node(cfg, y)
     i1, i2 = cfg.input_window
     return slice(y1, y1 + i1), slice(y2, y2 + i2)
-
-
-@dataclass(frozen=True)
-class LeakageMatrix:
-    """Row-stochastic leakage: matrix[y, y'] = Pr(y' | y).
-
-    Rows are uniform over the truncated leakage window around y and
-    renormalised to sum to 1.  Stored sparsely (CSR) over the window, with
-    the transpose kept as its own CSR so that L^T is not rebuilt per call.
-    """
-
-    matrix: sparse.csr_array
-    window: tuple[int, int]
-    transpose: sparse.csr_array
-
-    @property
-    def num_nodes(self) -> int:
-        return self.matrix.shape[0]
-
-    def apply(self, v: np.ndarray) -> np.ndarray:
-        """(L v)_y = sum_y' L[y, y'] v[y'] for vectors or (M, d) stacks."""
-        return self.matrix @ v
-
-    def apply_transpose(self, v: np.ndarray) -> np.ndarray:
-        """(L^T v)_y = sum_y' L[y', y] v[y']."""
-        return self.transpose @ v
-
-    def to_dense(self) -> np.ndarray:
-        return self.matrix.toarray()
 
 
 def _window_csr(node_dims, window) -> tuple[np.ndarray, np.ndarray]:
@@ -173,48 +131,75 @@ def _window_csr(node_dims, window) -> tuple[np.ndarray, np.ndarray]:
     return indptr.astype(np.int64), indices.astype(np.int64)
 
 
+class SumOperator:
+    """A fixed sparse map laid out once: S(v)[t] is the sum of
+    weights[j] * v[columns[j]] over every entry j with targets[j] == t.
+
+    By default columns[j] = j and weights[j] = 1, so S adds one value per
+    entry into the entry's target; columns come with width, the length of
+    v.  S is
+    the CSR matrix (shape, indptr, indices, data) whose rows list their
+    entries in stable order of target.  A CSR product adds a row's terms in
+    stored order starting from 0, so the default S(w) is bit-identical to
+    np.bincount(targets, w, size), which adds in the same order, but reads
+    a prebuilt layout where bincount scatters by index on every call.  S(v)
+    calls scipy's CSR kernel directly, because the operator dispatch of a
+    scipy matrix @ v costs about 4 us a call, more than the sum itself on
+    small lattices.
+    """
+
+    def __init__(self, targets: np.ndarray, size: int, columns: np.ndarray | None = None,
+                 weights: np.ndarray | None = None, width: int | None = None):
+        order = np.argsort(targets, kind="stable")
+        width = len(targets) if columns is None else width
+        # 32-bit indices when they fit: smaller, and the product runs faster
+        index = np.int32 if max(len(targets), width) <= np.iinfo(np.int32).max else np.int64
+        self.shape = (size, width)
+        self.indptr = np.concatenate([[0], np.cumsum(np.bincount(targets, minlength=size))]).astype(index)
+        self.indices = (order if columns is None else columns[order]).astype(index)
+        self.data = np.ones(len(targets)) if weights is None else weights[order]
+
+    def __call__(self, v: np.ndarray) -> np.ndarray:
+        # the kernel converts v to contiguous float64 but reads it without
+        # bounds checks
+        if v.shape != self.shape[1:]:
+            raise ValueError(f"expected {self.shape[1]} values, got shape {v.shape}")
+        out = np.zeros(self.shape[0])
+        _sparsetools.csr_matvec(*self.shape, self.indptr, self.indices, self.data, v, out)
+        return out
+
+
+@dataclass(frozen=True)
+class LeakageMatrix:
+    """Row-stochastic leakage L[y, y'] = Pr(y' | y).
+
+    Rows are uniform over the truncated leakage window around y and
+    renormalised to sum to 1.  L and L^T are two SumOperators over the same
+    entries (y, y'), with target and column swapped.  L^T lists each row's
+    entries in increasing y', the order in which the CSC product L.T @ v
+    adds them too.
+    """
+
+    op: SumOperator            # L
+    transpose_op: SumOperator  # L^T
+
+    def apply(self, v: np.ndarray) -> np.ndarray:
+        """(L v)_y = sum_y' L[y, y'] v[y']."""
+        return self.op(v)
+
+    def apply_transpose(self, v: np.ndarray) -> np.ndarray:
+        """(L^T v)_y = sum_y' L[y', y] v[y']."""
+        return self.transpose_op(v)
+
+
 def build_leakage(cfg: LatticeConfig) -> LeakageMatrix:
     """Uniform top-hat leakage rows, truncated at edges and renormalised."""
     indptr, indices = _window_csr(cfg.node_dims, cfg.leakage_window)
-    counts = np.diff(indptr)
+    m, counts = cfg.num_nodes, np.diff(indptr)
+    rows = np.repeat(np.arange(m), counts)
     data = np.repeat(1.0 / counts, counts)
-    m = sparse.csr_array((data, indices, indptr), shape=(cfg.num_nodes, cfg.num_nodes))
-    # CSR of L^T sums each output over y' in increasing order, as the CSC
-    # product m.T @ v does, so apply_transpose gives the same bits
-    return LeakageMatrix(matrix=m, window=cfg.leakage_window, transpose=m.T.tocsr())
-
-
-class SumOperator:
-    """Adds per-source values into targets: S(w)[t] is the sum of w[j] over
-    every j with targets[j] == t.
-
-    S is a 0/1 CSR matrix (shape, indptr, indices, data) whose rows list
-    their sources in increasing j.  A CSR product adds a row's terms in
-    stored order starting from 0, so S(w) is bit-identical to
-    np.bincount(targets, w, size), which adds in the same order.  The
-    product reads a layout built once, where bincount scatters by index on
-    every call and takes two to three times as long on large lattices.
-    S(w) calls scipy's CSR kernel directly, because the operator dispatch
-    of a scipy matrix @ w costs about 4 us a call, more than the sum itself
-    on small lattices.
-    """
-
-    def __init__(self, targets: np.ndarray, size: int):
-        # 32-bit indices when they fit: smaller, and the product runs faster
-        index = np.int32 if len(targets) <= np.iinfo(np.int32).max else np.int64
-        self.shape = (size, len(targets))
-        self.indptr = np.concatenate([[0], np.cumsum(np.bincount(targets, minlength=size))]).astype(index)
-        self.indices = np.argsort(targets, kind="stable").astype(index)
-        self.data = np.ones(len(targets))
-
-    def __call__(self, w: np.ndarray) -> np.ndarray:
-        # the kernel converts w to contiguous float64 but reads it without
-        # bounds checks
-        if w.shape != self.shape[1:]:
-            raise ValueError(f"expected {self.shape[1]} values, got shape {w.shape}")
-        out = np.zeros(self.shape[0])
-        _sparsetools.csr_matvec(*self.shape, self.indptr, self.indices, self.data, w, out)
-        return out
+    return LeakageMatrix(op=SumOperator(rows, m, columns=indices, weights=data, width=m),
+                         transpose_op=SumOperator(indices, m, columns=rows, weights=data, width=m))
 
 
 class Lattice:
@@ -226,10 +211,13 @@ class Lattice:
     Attributes:
         cfg          the LatticeConfig
         num_nodes    M
-        nbr_indptr, nbr_indices
-                     CSR layout of neighbourhood rows (row y' = N(y'))
-        nbr_rows     the row y' of every entry of that layout
-        nbr_matrix   0/1 CSR over that layout (window sums are nbr_matrix @ v)
+        nbr_indices, nbr_rows
+                     the column y and the row y' of every entry of the
+                     neighbourhood layout: row y' lists N(y') in row-major
+                     order
+        nbr_sum      SumOperator of the window sums over that layout,
+                     nbr_sum(v)[y'] = sum over N(y') of v; its (indptr,
+                     indices) is the layout in CSR form
         win_idx      (M, K) flat indices of each node's input window,
                      K = i1 * i2
         nbr_row_sum, nbr_col_sum
@@ -237,19 +225,16 @@ class Lattice:
                      into its row y' or its column y (P v, P^T u, p)
         win_cell_sum SumOperator adding a value per window cell (the
                      flattened (M, K) layout) into its input cell
-        leakage      the LeakageMatrix for cfg
+        leakage      the LeakageMatrix for cfg, L and L^T as SumOperators
     """
 
     def __init__(self, cfg: LatticeConfig):
         self.cfg = cfg
-        self.num_nodes = cfg.num_nodes
+        self.num_nodes = m = cfg.num_nodes
         m1, m2 = cfg.node_dims
-        self.nbr_indptr, self.nbr_indices = _window_csr(cfg.node_dims, cfg.neighbourhood_window)
-        self.nbr_rows = np.repeat(np.arange(self.num_nodes), np.diff(self.nbr_indptr))
-        ones = np.ones(len(self.nbr_indices))
-        self.nbr_matrix = sparse.csr_array(
-            (ones, self.nbr_indices, self.nbr_indptr), shape=(self.num_nodes, self.num_nodes)
-        )
+        nbr_indptr, self.nbr_indices = _window_csr(cfg.node_dims, cfg.neighbourhood_window)
+        self.nbr_rows = np.repeat(np.arange(m), np.diff(nbr_indptr))
+        self.nbr_sum = SumOperator(self.nbr_rows, m, columns=self.nbr_indices, width=m)
 
         i1, i2 = cfg.input_window
         d1, d2 = cfg.input_dims
@@ -257,11 +242,11 @@ class Lattice:
         y2 = np.tile(np.arange(m2), m1)
         u1 = y1[:, None, None] + np.arange(i1)[None, :, None]
         u2 = y2[:, None, None] + np.arange(i2)[None, None, :]
-        self.win_idx = (u1 * d2 + u2).reshape(self.num_nodes, i1 * i2)
+        self.win_idx = (u1 * d2 + u2).reshape(m, i1 * i2)
         assert self.win_idx.min() >= 0 and self.win_idx.max() < d1 * d2
 
-        self.nbr_row_sum = SumOperator(self.nbr_rows, self.num_nodes)
-        self.nbr_col_sum = SumOperator(self.nbr_indices, self.num_nodes)
+        self.nbr_row_sum = SumOperator(self.nbr_rows, m)
+        self.nbr_col_sum = SumOperator(self.nbr_indices, m)
         self.win_cell_sum = SumOperator(self.win_idx.reshape(-1), d1 * d2)
         self.leakage = build_leakage(cfg)
 
@@ -281,9 +266,6 @@ class Lattice:
     def coords(self, flat: int) -> NodeIndex:
         m2 = self.cfg.node_dims[1]
         return (int(flat) // m2, int(flat) % m2)
-
-    def nbr_row(self, y_flat: int) -> np.ndarray:
-        return self.nbr_indices[self.nbr_indptr[y_flat]:self.nbr_indptr[y_flat + 1]]
 
     def gather(self, x: np.ndarray) -> np.ndarray:
         """Windowed view of one input vector: (M, K) array of x restricted

@@ -21,7 +21,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .activation import NodeParams, localized_posterior_entries, stable_sigmoid
-from .lattice import Lattice, LeakageMatrix
+from .lattice import Lattice
 
 ENUMERATION_GUARD = 1_000_000
 
@@ -148,22 +148,20 @@ class Forward:
     dbar: np.ndarray
 
 
-def forward(x: np.ndarray, lattice: Lattice, params: NodeParams, leakage: LeakageMatrix) -> Forward:
+def forward(x: np.ndarray, lattice: Lattice, params: NodeParams) -> Forward:
     """Activities, posterior, leaked weights and residuals for one input."""
     xw = lattice.gather(x)
     q = stable_sigmoid(np.einsum("ij,ij->i", params.weights, xw) + params.biases)
     post = localized_posterior_entries(q, lattice)
     p = lattice.nbr_col_sum(post)
-    rho = leakage.apply_transpose(p)
+    rho = lattice.leakage.apply_transpose(p)
     d_win = xw - params.ref_vectors
     e = (d_win**2).sum(axis=1)
     dbar = lattice.win_cell_sum((rho[:, None] * d_win).reshape(-1))
     return Forward(x_windows=xw, q=q, post=post, p=p, rho=rho, d_win=d_win, e=e, dbar=dbar)
 
 
-def compute_D1_D2(
-    samples: SampleSet, lattice: Lattice, params: NodeParams, leakage: LeakageMatrix, n: float
-) -> BoundValue:
+def compute_D1_D2(samples: SampleSet, lattice: Lattice, params: NodeParams, n: float) -> BoundValue:
     """Model objective with the leaked scalable posterior.
 
     The per-node weight is rho(y) = (L^T p)_y where p_y sums the localized
@@ -176,7 +174,7 @@ def compute_D1_D2(
     d1_acc = 0.0
     d2_acc = 0.0
     for x in samples.vectors:
-        fw = forward(x, lattice, params, leakage)
+        fw = forward(x, lattice, params)
         d1_acc += float(fw.rho @ fw.e)
         d2_acc += float(fw.dbar @ fw.dbar)
     s = samples.size

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .activation import NodeParams
-from .datagen import TrainingConfig, TrainingVector, gen_1d, gen_2d, parity_mask
+from .datagen import TrainingConfig, gen_1d, gen_2d, parity_mask
 from .gradients import GradientSet, build_state, gradient_set_from_states
 from .lattice import Lattice, LatticeConfig, get_lattice
 from .objective import SampleSet, compute_D1_D2
@@ -59,9 +59,6 @@ class DominanceProfile:
 
     a1: np.ndarray
     a2: np.ndarray
-
-    def signed(self) -> np.ndarray:
-        return self.a1 - self.a2
 
 
 @dataclass
@@ -156,11 +153,11 @@ def adapt_rates(params: NodeParams, grads: GradientSet, epsilon: float) -> tuple
     return rates, diameters
 
 
-def train_step(state: TrainerState, tvec: TrainingVector) -> TrainerState:
-    """One online update from one (already conditioned) training vector."""
+def train_step(state: TrainerState, x: np.ndarray) -> TrainerState:
+    """One online update from one (already conditioned) training vector
+    over the padded input array."""
     lattice = state.lattice
-    x = tvec.values.reshape(-1)
-    sample_state = build_state(x, lattice, state.params, lattice.leakage)
+    sample_state = build_state(x, lattice, state.params)
     grads = gradient_set_from_states([sample_state], lattice, float(state.tcfg.n))
     if not grads.all_finite():
         raise TrainingDivergedError(f"non-finite gradient at step {state.step}")
@@ -181,13 +178,15 @@ def train_step(state: TrainerState, tvec: TrainingVector) -> TrainerState:
     return state
 
 
-def next_vector(state: TrainerState) -> TrainingVector:
+def _draw(lattice_cfg: LatticeConfig, tcfg: TrainingConfig, rng: np.random.Generator) -> np.ndarray:
+    """One conditioned training vector over the padded input array."""
+    gen = gen_1d if lattice_cfg.node_dims[0] == 1 else gen_2d
+    return gen(tcfg, lattice_cfg, rng) * data_scale(tcfg)
+
+
+def next_vector(state: TrainerState) -> np.ndarray:
     """Draw and condition the next training vector from the state's RNG."""
-    if state.lattice_cfg.node_dims[0] == 1:
-        tvec = gen_1d(state.tcfg, state.lattice_cfg, state.data_rng)
-    else:
-        tvec = gen_2d(state.tcfg, state.lattice_cfg, state.data_rng)
-    return TrainingVector(values=tvec.values * data_scale(state.tcfg), parity=tvec.parity)
+    return _draw(state.lattice_cfg, state.tcfg, state.data_rng)
 
 
 def run_training(state: TrainerState, updates: int, on_step=None) -> TrainerState:
@@ -210,15 +209,11 @@ def heldout_samples(lattice_cfg: LatticeConfig, tcfg: TrainingConfig, size: int)
     """Frozen evaluation batch from a dedicated stream (never touches the
     training stream), conditioned like the training data."""
     rng = np.random.default_rng([tcfg.seed, 2])
-    gen = gen_1d if lattice_cfg.node_dims[0] == 1 else gen_2d
-    scale = data_scale(tcfg)
-    rows = [gen(tcfg, lattice_cfg, rng).values.reshape(-1) * scale for _ in range(size)]
-    return SampleSet(vectors=np.array(rows))
+    return SampleSet(vectors=np.array([_draw(lattice_cfg, tcfg, rng).reshape(-1) for _ in range(size)]))
 
 
 def heldout_objective(state: TrainerState, samples: SampleSet):
-    lattice = state.lattice
-    return compute_D1_D2(samples, lattice, state.params, lattice.leakage, float(state.tcfg.n))
+    return compute_D1_D2(samples, state.lattice, state.params, float(state.tcfg.n))
 
 
 def dominance_arrays(params: NodeParams, lattice: Lattice, parity: np.ndarray) -> DominanceProfile:

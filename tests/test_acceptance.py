@@ -32,6 +32,7 @@ from pmdnet.trainer import (
     run_training,
 )
 
+from helpers import dense_operator
 from oracle_expanded import expanded_quantities, random_instance
 
 STRIPE_LATTICE = LatticeConfig(node_dims=(1, 100), input_window=(1, 41),
@@ -91,7 +92,7 @@ def test_criterion_2():
         cfg = LatticeConfig(node_dims=(m1, m2), input_window=(1, 1),
                             neighbourhood_window=(w1, w2), leakage_window=(1, 1))
         q = rng.uniform(0.05, 5.0, m1 * m2)
-        post = pmd_posterior(q, cfg)
+        post = pmd_posterior(q, get_lattice(cfg))
         assert post.min() >= 0.0
         assert abs(post.sum() - 1.0) <= 1e-12
     elapsed = time.perf_counter() - t0
@@ -122,8 +123,7 @@ def test_criterion_3():
                             biases=rng.uniform(-0.2, 0.2, m),
                             ref_vectors=rng.uniform(-0.5, 0.5, (m, k)))
         samples = SampleSet(vectors=rng.uniform(-1, 1, (2, lat.input_size)))
-        report = finite_difference_check(samples, lat, params, lat.leakage,
-                                         n_values[idx % len(n_values)])
+        report = finite_difference_check(samples, lat, params, n_values[idx % len(n_values)])
         assert report.max_rel_error <= 1e-5, report.format_text(limit=3)
     elapsed = time.perf_counter() - t0
     assert elapsed < 30.0, f"criterion 3 took {elapsed:.2f} s"
@@ -249,10 +249,11 @@ def test_criterion_8():
     for _ in range(50):
         cfg, params, x = random_instance(rng)
         lat = get_lattice(cfg)
-        st = build_state(x, lat, params, lat.leakage)
+        st = build_state(x, lat, params)
         # second rendering: the column sums of P L d, with P and d built
         # here in full because the state keeps neither
-        pld = localized_posterior_rows(st.q, lat) @ lat.leakage.apply(lat.scatter_rows(st.d_win))
+        leakage = dense_operator(lat.leakage.op)
+        pld = localized_posterior_rows(st.q, lat) @ (leakage @ lat.scatter_rows(st.d_win))
         assert np.abs(st.dbar - pld.sum(axis=0)).max() <= 1e-12
 
         oq = expanded_quantities(x, cfg, params, 2.0)

@@ -9,21 +9,23 @@ from pmdnet.activation import (
     DegenerateActivityError,
     NodeParams,
     activities,
-    activity_sigmoid,
-    apply_leakage,
-    localized_posterior,
     localized_posterior_rows,
     pmd_posterior,
-    simple_posterior,
     stable_sigmoid,
     window_denominators,
 )
 from pmdnet.lattice import LatticeConfig, build_leakage, get_lattice
 
+from helpers import activity_sigmoid, dense_operator, localized_posterior, simple_posterior
+
 
 def cfg_1d(m, w, i=1, l=1):
     return LatticeConfig(node_dims=(1, m), input_window=(1, i),
                          neighbourhood_window=(1, w), leakage_window=(1, l))
+
+
+def lat_1d(m, w, i=1, l=1):
+    return get_lattice(cfg_1d(m, w, i, l))
 
 
 def test_sigmoid_zero_logit():
@@ -57,17 +59,17 @@ def test_simple_posterior_threshold_cases():
 
 
 def test_localized_posterior_cases():
-    cfg = cfg_1d(5, 1)
-    got = localized_posterior(np.array([4.0, 1.0, 1.0, 1.0, 1.0]), cfg, (0, 0))
+    lat = lat_1d(5, 1)
+    got = localized_posterior(np.array([4.0, 1.0, 1.0, 1.0, 1.0]), lat, (0, 0))
     assert got == {(0, 0): 1.0}
 
-    cfg = cfg_1d(21, 41)  # window covers the whole lattice
-    got = localized_posterior(np.full(21, 3.3), cfg, (0, 10))
+    lat = lat_1d(21, 41)  # window covers the whole lattice
+    got = localized_posterior(np.full(21, 3.3), lat, (0, 10))
     assert len(got) == 21
     assert all(abs(v - 1 / 21) <= 1e-15 for v in got.values())
 
-    cfg = cfg_1d(3, 3)
-    got = localized_posterior(np.array([1.0, 2.0, 3.0]), cfg, (0, 1))
+    lat = lat_1d(3, 3)
+    got = localized_posterior(np.array([1.0, 2.0, 3.0]), lat, (0, 1))
     assert abs(got[(0, 0)] - 1 / 6) <= 1e-15
     assert abs(got[(0, 1)] - 2 / 6) <= 1e-15
     assert abs(got[(0, 2)] - 3 / 6) <= 1e-15
@@ -76,8 +78,8 @@ def test_localized_posterior_cases():
 def test_pmd_matches_hand_computed_four_nodes():
     # four nodes, truncated windows of three: the double sum evaluates to
     # (1/8, 11/36, 53/168, 16/63), which sums to exactly 1
-    cfg = cfg_1d(4, 3)
-    got = pmd_posterior(np.array([1.0, 2.0, 3.0, 4.0]), cfg)
+    lat = lat_1d(4, 3)
+    got = pmd_posterior(np.array([1.0, 2.0, 3.0, 4.0]), lat)
     expect = np.array([1 / 8, 11 / 36, 53 / 168, 16 / 63])
     assert np.allclose(got, expect, rtol=0, atol=1e-15)
     assert abs(got.sum() - 1.0) <= 1e-15
@@ -85,27 +87,24 @@ def test_pmd_matches_hand_computed_four_nodes():
 
 def test_pmd_uniform_activity_gives_uniform_posterior():
     # symmetry argument needs untruncated windows: cover the lattice, or size 1
-    cfg = cfg_1d(9, 17)
-    got = pmd_posterior(np.full(9, 0.7), cfg)
+    got = pmd_posterior(np.full(9, 0.7), lat_1d(9, 17))
     assert np.allclose(got, 1 / 9, rtol=0, atol=1e-14)
-    cfg = cfg_1d(9, 1)
-    got = pmd_posterior(np.full(9, 0.7), cfg)
+    got = pmd_posterior(np.full(9, 0.7), lat_1d(9, 1))
     assert np.allclose(got, 1 / 9, rtol=0, atol=1e-14)
 
 
 def test_pmd_full_window_reduces_to_simple():
-    cfg = cfg_1d(7, 15)
     rng = np.random.default_rng(5)
     q = rng.uniform(0.1, 2.0, 7)
-    assert np.allclose(pmd_posterior(q, cfg), simple_posterior(q), rtol=0, atol=1e-14)
+    assert np.allclose(pmd_posterior(q, lat_1d(7, 15)), simple_posterior(q), rtol=0, atol=1e-14)
 
 
 def test_pmd_scale_invariance():
-    cfg = cfg_1d(10, 5)
+    lat = lat_1d(10, 5)
     rng = np.random.default_rng(6)
     q = rng.uniform(0.2, 3.0, 10)
-    a = pmd_posterior(q, cfg)
-    b = pmd_posterior(3.7 * q, cfg)
+    a = pmd_posterior(q, lat)
+    b = pmd_posterior(3.7 * q, lat)
     assert np.allclose(a, b, rtol=0, atol=1e-14)
 
 
@@ -118,22 +117,21 @@ def test_pmd_normalization_randomized():
         w2 = int(rng.integers(0, 4)) * 2 + 1
         cfg = LatticeConfig((m1, m2), (1, 1), (w1, w2), (1, 1))
         q = rng.uniform(0.01, 5.0, m1 * m2)
-        assert abs(pmd_posterior(q, cfg).sum() - 1.0) <= 1e-12
+        assert abs(pmd_posterior(q, get_lattice(cfg)).sum() - 1.0) <= 1e-12
 
 
 def test_pmd_degenerate_neighbourhood_is_error():
-    cfg = cfg_1d(4, 3)
+    lat = lat_1d(4, 3)
     with pytest.raises(DegenerateActivityError):
-        window_denominators(np.array([0.0, 0.0, 1.0, 1.0]), get_lattice(cfg))
+        window_denominators(np.array([0.0, 0.0, 1.0, 1.0]), lat)
     with pytest.raises(DegenerateActivityError):
-        pmd_posterior(np.array([0.0, 0.0, 1.0, 1.0]), cfg)
+        pmd_posterior(np.array([0.0, 0.0, 1.0, 1.0]), lat)
 
 
 def test_localized_rows_are_stochastic():
-    cfg = cfg_1d(12, 5)
     rng = np.random.default_rng(8)
     q = rng.uniform(0.1, 1.0, 12)
-    rows = localized_posterior_rows(q, get_lattice(cfg))
+    rows = localized_posterior_rows(q, lat_1d(12, 5))
     sums = np.asarray(rows.sum(axis=1)).ravel()
     assert np.max(np.abs(sums - 1.0)) <= 1e-12
     # row support matches the neighbourhood sets
@@ -146,32 +144,28 @@ def test_localized_rows_are_stochastic():
 
 
 def test_apply_leakage_identity_and_mixing():
-    cfg = cfg_1d(6, 3, l=1)
-    lk = build_leakage(cfg)
+    lk = build_leakage(cfg_1d(6, 3, l=1))
     post = np.array([0.5, 0.1, 0.1, 0.1, 0.1, 0.1])
-    assert np.array_equal(apply_leakage(post, lk), post)
+    assert np.array_equal(lk.apply_transpose(post), post)
 
-    cfg = cfg_1d(6, 3, l=15)  # leakage window covers everything: total mixing
-    lk = build_leakage(cfg)
-    got = apply_leakage(post, lk)
+    lk = build_leakage(cfg_1d(6, 3, l=15))  # the leakage window covers everything: total mixing
+    got = lk.apply_transpose(post)
     assert np.allclose(got, 1 / 6, rtol=0, atol=1e-15)
 
 
 def test_apply_leakage_delta_recovers_row():
-    cfg = cfg_1d(9, 3, l=5)
-    lk = build_leakage(cfg)
+    lk = build_leakage(cfg_1d(9, 3, l=5))
     delta = np.zeros(9)
     delta[3] = 1.0
-    assert np.allclose(apply_leakage(delta, lk), lk.to_dense()[3], rtol=0, atol=1e-15)
+    assert np.allclose(lk.apply_transpose(delta), dense_operator(lk.op)[3], rtol=0, atol=1e-15)
 
 
 def test_apply_leakage_preserves_distribution():
-    cfg = cfg_1d(11, 3, l=7)
-    lk = build_leakage(cfg)
+    lk = build_leakage(cfg_1d(11, 3, l=7))
     rng = np.random.default_rng(9)
     post = rng.uniform(0, 1, 11)
     post /= post.sum()
-    got = apply_leakage(post, lk)
+    got = lk.apply_transpose(post)
     assert np.all(got >= 0)
     assert abs(got.sum() - 1.0) <= 1e-12
 

@@ -105,9 +105,15 @@ def test_build_run_config_validation():
 
     for override in (["lattice.node_dims=1,2,3"], ["training.kappa=fast"],
                      ["run.seed_policy=maybe"], ["run.channel=a3"],
-                     ["run.heldout_size=0"], ["lattice.input_window=1,4"]):
+                     ["run.heldout_size=0"], ["lattice.input_window=1,4"],
+                     ["training.nu=nan"], ["training.kappa=inf"], ["training.epsilon=inf"]):
         with pytest.raises(ConfigError):
             build_run_config(merge_config(None, override, None))
+
+    # a value that does not parse as its declared type names its setting
+    for override, setting in (("training.n=2.5", "training.n"), ("training.kappa=fast", "training.kappa")):
+        with pytest.raises(ConfigError, match=f"^{setting}: "):
+            build_run_config(merge_config(None, [override], None))
 
 
 def test_exit_codes_for_bad_input(tmp_path, capsys):
@@ -368,6 +374,20 @@ def test_train_divergence_exits_1(tmp_path, capsys):
     assert [row[0] for row in rows] == ["0"]
     _, rows = read_csv(tmp_path / "div" / "dominance_history.csv")
     assert [row[:2] for row in rows] == [["0", str(idx)] for idx in range(12)]
+
+
+def test_non_finite_training_values_are_config_errors(tmp_path, capsys):
+    # a value that can never run is refused before the run starts; a
+    # finite epsilon that overflows the rate still diverges at run time
+    ini = write_tiny(tmp_path, updates=2)
+    for override in ("training.nu=nan", "training.kappa=inf", "training.epsilon=inf"):
+        code = main(["train", "--config", str(ini), "--out-dir", str(tmp_path / "bad"),
+                     "--override", override])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and err.startswith("error: ")
+        assert override.split(".")[1].split("=")[0] + " must be finite" in err
+    assert not (tmp_path / "bad").exists()
 
 
 def test_degenerate_activity_exits_1(tmp_path, capsys):

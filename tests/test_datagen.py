@@ -5,18 +5,11 @@ import math
 import numpy as np
 import pytest
 
-from pmdnet.datagen import (
-    DegenerateDataError,
-    TrainingConfig,
-    compose_1d,
-    gen_1d,
-    gen_2d,
-    normalize_set,
-    parity_mask,
-    validate_kappa,
-)
+from pmdnet.datagen import TrainingConfig, compose_1d, gen_1d, gen_2d, parity_mask, validate_kappa
 from pmdnet.lattice import LatticeConfig
 from pmdnet.objective import SampleSet
+
+from helpers import DegenerateDataError, normalize_set
 
 STRIPE_CFG = LatticeConfig(node_dims=(1, 100), input_window=(1, 41),
                            neighbourhood_window=(1, 21), leakage_window=(1, 15))
@@ -31,7 +24,8 @@ def test_training_config_validation():
     good = dict(kappa=0.3, nu=0.1, s=2, n=400, epsilon=0.002, seed=0, updates=10)
     TrainingConfig(**good)
     for key, bad in [("kappa", 0.0), ("nu", -0.1), ("s", 3), ("s", 0),
-                     ("n", 0), ("epsilon", 0.0), ("updates", -1)]:
+                     ("n", 0), ("epsilon", 0.0), ("updates", -1),
+                     ("kappa", math.inf), ("nu", math.nan), ("epsilon", math.inf)]:
         with pytest.raises(ValueError):
             TrainingConfig(**{**good, key: bad})
 
@@ -73,10 +67,9 @@ def test_gen_1d_bounds_and_shape():
     tc = TrainingConfig(kappa=0.3, nu=0.1, s=2)
     rng = np.random.default_rng(30)
     for _ in range(20):
-        tv = gen_1d(tc, STRIPE_CFG, rng)
-        assert tv.values.shape == STRIPE_CFG.input_dims
-        assert np.abs(tv.values).max() <= 1.0 + tc.nu / 2.0
-    assert tv.parity.shape == STRIPE_CFG.input_dims
+        vals = gen_1d(tc, STRIPE_CFG, rng)
+        assert vals.shape == STRIPE_CFG.input_dims
+        assert np.abs(vals).max() <= 1.0 + tc.nu / 2.0
 
 
 def test_gen_1d_two_subspaces_are_independent():
@@ -88,12 +81,12 @@ def test_gen_1d_two_subspaces_are_independent():
     rng = np.random.default_rng(31)
     draws = 10_000
     tc2 = TrainingConfig(kappa=kappa, nu=0.0, s=2)
-    vals = np.stack([gen_1d(tc2, cfg, rng).values.reshape(-1) for _ in range(draws)])
+    vals = np.stack([gen_1d(tc2, cfg, rng).reshape(-1) for _ in range(draws)])
     corr = np.corrcoef(vals[:, 0], vals[:, 1])[0, 1]
     assert abs(corr) < 0.05
 
     tc1 = TrainingConfig(kappa=kappa, nu=0.0, s=1)
-    vals = np.stack([gen_1d(tc1, cfg, rng).values.reshape(-1) for _ in range(2000)])
+    vals = np.stack([gen_1d(tc1, cfg, rng).reshape(-1) for _ in range(2000)])
     corr = np.corrcoef(vals[:, 0], vals[:, 2])[0, 1]
     assert corr < -0.99  # same phase, half period apart
 
@@ -104,8 +97,8 @@ def test_gen_1d_noise_stream_alignment():
     tc0 = TrainingConfig(kappa=0.3, nu=0.0, s=2)
     tc1 = TrainingConfig(kappa=0.3, nu=0.1, s=2)
     for seed in range(5):
-        a = gen_1d(tc0, STRIPE_CFG, np.random.default_rng(seed)).values
-        b = gen_1d(tc1, STRIPE_CFG, np.random.default_rng(seed)).values
+        a = gen_1d(tc0, STRIPE_CFG, np.random.default_rng(seed))
+        b = gen_1d(tc1, STRIPE_CFG, np.random.default_rng(seed))
         resid = b - a
         assert np.abs(resid).max() <= 0.05 + 1e-15
         assert np.abs(resid).max() > 0.0
@@ -127,21 +120,29 @@ def test_gen_2d_axis_aligned_wave():
     cfg = LatticeConfig(node_dims=(4, 5), input_window=(3, 3),
                         neighbourhood_window=(3, 3), leakage_window=(1, 1))
     tc = TrainingConfig(kappa=0.7, nu=0.0, s=1)
-    tv = gen_2d(tc, cfg, ScriptedRng([0.0, 0.0]))  # azimuth 0, phase 0
+    vals = gen_2d(tc, cfg, ScriptedRng([0.0, 0.0]))  # azimuth 0, phase 0
     d1, d2 = cfg.input_dims
     expect = np.sin(0.7 * np.arange(d1, dtype=float))[:, None] * np.ones((1, d2))
-    assert np.allclose(tv.values, expect, rtol=0, atol=1e-12)
+    assert np.allclose(vals, expect, rtol=0, atol=1e-12)
 
 
 def test_gen_2d_interleaves_and_bounds():
     cfg = LatticeConfig(node_dims=(6, 6), input_window=(3, 3),
                         neighbourhood_window=(3, 3), leakage_window=(1, 1))
     tc = TrainingConfig(kappa=0.7, nu=0.0, s=2)
+    vals = gen_2d(tc, cfg, np.random.default_rng(32))
+    assert vals.shape == cfg.input_dims
+    assert np.abs(vals).max() <= 1.0
+    # each parity's cells carry that subspace's own plane wave, drawn as
+    # (azimuth, phase) for subspace 1 and then for subspace 2
     rng = np.random.default_rng(32)
-    tv = gen_2d(tc, cfg, rng)
-    assert tv.values.shape == cfg.input_dims
-    assert np.abs(tv.values).max() <= 1.0
-    assert np.array_equal(tv.parity, parity_mask(cfg))
+    d1, d2 = cfg.input_dims
+    u1, u2 = np.arange(d1)[:, None], np.arange(d2)[None, :]
+    par = parity_mask(cfg)
+    for k in (0, 1):
+        theta, phase = rng.uniform(0.0, 2 * math.pi), rng.uniform(0.0, 2 * math.pi)
+        wave = np.sin(0.7 * (u1 * math.cos(theta) + u2 * math.sin(theta)) + phase)
+        assert np.allclose(vals[par == k], wave[par == k], rtol=0, atol=1e-12)
 
 
 def test_parity_mask_chessboard():
@@ -200,11 +201,11 @@ def test_normalize_set_rejects_constant():
 
 def test_generation_is_seed_deterministic():
     tc = TrainingConfig(kappa=0.3, nu=0.1, s=2)
-    a = [gen_1d(tc, STRIPE_CFG, np.random.default_rng(7)).values for _ in range(1)][0]
-    b = [gen_1d(tc, STRIPE_CFG, np.random.default_rng(7)).values for _ in range(1)][0]
+    a = gen_1d(tc, STRIPE_CFG, np.random.default_rng(7))
+    b = gen_1d(tc, STRIPE_CFG, np.random.default_rng(7))
     assert np.array_equal(a, b)
     cfg2 = LatticeConfig(node_dims=(4, 4), input_window=(3, 3),
                          neighbourhood_window=(3, 3), leakage_window=(1, 1))
-    c = gen_2d(tc, cfg2, np.random.default_rng(8)).values
-    d = gen_2d(tc, cfg2, np.random.default_rng(8)).values
+    c = gen_2d(tc, cfg2, np.random.default_rng(8))
+    d = gen_2d(tc, cfg2, np.random.default_rng(8))
     assert np.array_equal(c, d)

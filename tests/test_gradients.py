@@ -16,6 +16,7 @@ from pmdnet.gradients import (
 from pmdnet.lattice import LatticeConfig, get_lattice
 from pmdnet.objective import SampleSet
 
+from helpers import dense_operator
 from oracle_expanded import expanded_quantities, random_instance
 
 
@@ -31,12 +32,12 @@ def test_build_state_invariants():
     for _ in range(5):
         cfg, params, x = random_instance(rng)
         lat = get_lattice(cfg)
-        st = build_state(x, lat, params, lat.leakage)
+        st = build_state(x, lat, params)
         rows = np.bincount(lat.nbr_rows, weights=st.post, minlength=lat.num_nodes)
         assert np.allclose(rows, 1.0, rtol=0, atol=1e-12)
         assert abs(st.p.sum() - lat.num_nodes) <= 1e-12 * lat.num_nodes
         d = lat.scatter_rows(st.d_win)
-        pld = localized_posterior_rows(st.q, lat) @ lat.leakage.apply(d)
+        pld = localized_posterior_rows(st.q, lat) @ (dense_operator(lat.leakage.op) @ d)
         assert np.allclose(st.dbar, pld.sum(axis=0), rtol=0, atol=1e-12)
         assert (st.e >= 0).all()
         # off-window components of the scattered residuals are zero
@@ -51,7 +52,7 @@ def test_state_matches_oracle_fields():
     for _ in range(5):
         cfg, params, x = random_instance(rng)
         lat = get_lattice(cfg)
-        st = build_state(x, lat, params, lat.leakage)
+        st = build_state(x, lat, params)
         oq = expanded_quantities(x, cfg, params, 2.0)
         assert np.allclose(st.q, oq["q"], rtol=0, atol=1e-13)
         assert np.allclose(st.p, oq["p"], rtol=0, atol=1e-12)
@@ -69,7 +70,7 @@ def test_state_matches_oracle_fields():
 
 def assert_kernels_match_oracle(cfg, params, x):
     lat = get_lattice(cfg)
-    st = build_state(x, lat, params, lat.leakage)
+    st = build_state(x, lat, params)
     oq = expanded_quantities(x, cfg, params, 2.0)
     f1, f2, g1, g2 = kernels(st)
     f1 = lat.scatter_rows(f1)
@@ -111,7 +112,7 @@ def test_gradient_set_matches_oracle_assembly():
         lat = get_lattice(cfg)
         xs = rng.uniform(-1, 1, (4, lat.input_size))
         n = float(rng.choice([1.0, 2.0, 5.0]))
-        gs = all_gradients(SampleSet(vectors=xs), lat, params, lat.leakage, n)
+        gs = all_gradients(SampleSet(vectors=xs), lat, params, n)
         m = lat.num_nodes
         on_window = np.arange(m)[:, None], lat.win_idx
         oracle, split = [0.0] * 6, [0.0] * 6
@@ -120,7 +121,7 @@ def test_gradient_set_matches_oracle_assembly():
             terms = split_terms(oq["f1"][on_window], oq["f2"][on_window], oq["g1"], oq["g2"],
                                 1.0 - oq["q"], x[lat.win_idx])
             oracle = [acc + t for acc, t in zip(oracle, terms)]
-            st = build_state(x, lat, params, lat.leakage)
+            st = build_state(x, lat, params)
             terms = split_terms(*kernels(st), 1.0 - st.q, st.x_windows)
             split = [acc + t for acc, t in zip(split, terms)]
         coeffs = split_coefficients(n, m, xs.shape[0])
@@ -141,7 +142,7 @@ def test_single_node_degenerate_network():
     params = NodeParams(weights=np.array([[0.3, -0.2, 0.1]]), biases=np.array([0.4]),
                         ref_vectors=np.array([[0.5, 0.0, -0.5]]))
     x = np.array([0.2, -0.7, 0.9])
-    st = build_state(x, lat, params, lat.leakage)
+    st = build_state(x, lat, params)
     assert st.post.tolist() == [1.0]
     assert st.p.tolist() == [1.0]
     assert np.allclose(st.dbar, lat.scatter_rows(st.d_win)[0], rtol=0, atol=1e-15)
@@ -149,7 +150,7 @@ def test_single_node_degenerate_network():
     _, _, g1, g2 = kernels(st)
     assert abs(g1[0]) <= 1e-15
     assert abs(g2[0]) <= 1e-15
-    gs = all_gradients(SampleSet(vectors=x[None, :]), lat, params, lat.leakage, 2.0)
+    gs = all_gradients(SampleSet(vectors=x[None, :]), lat, params, 2.0)
     assert np.allclose(gs.weight_total, 0.0, rtol=0, atol=1e-15)
     assert np.allclose(gs.bias_total, 0.0, rtol=0, atol=1e-15)
 
@@ -163,7 +164,7 @@ def test_uniform_activity_full_neighbourhood_unit_mass():
     params = NodeParams(weights=np.zeros((5, 3)), biases=np.zeros(5),
                         ref_vectors=np.full((5, 3), 0.2))
     x = np.zeros(lat.input_size)
-    st = build_state(x, lat, params, lat.leakage)
+    st = build_state(x, lat, params)
     assert np.allclose(st.p, 1.0, rtol=0, atol=1e-14)
     assert np.allclose(st.rho, 1.0, rtol=0, atol=1e-14)
     f1 = lat.scatter_rows(kernels(st)[0])
@@ -180,7 +181,7 @@ def test_perfect_reconstruction_kills_residual_kernels():
     params = make_params(lat, rng)
     x = rng.uniform(-1, 1, lat.input_size)
     params.ref_vectors[:] = lat.gather(x)
-    st = build_state(x, lat, params, lat.leakage)
+    st = build_state(x, lat, params)
     f1, f2, g1, g2 = kernels(st)
     assert np.allclose(f1, 0.0, rtol=0, atol=1e-15)
     assert np.allclose(f2, 0.0, rtol=0, atol=1e-15)
@@ -188,7 +189,7 @@ def test_perfect_reconstruction_kills_residual_kernels():
     for y in range(6):
         assert abs(g1[y]) <= 1e-15
         assert abs(g2[y]) <= 1e-15
-    gs = all_gradients(SampleSet(vectors=x[None, :]), lat, params, lat.leakage, 3.0)
+    gs = all_gradients(SampleSet(vectors=x[None, :]), lat, params, 3.0)
     assert np.allclose(gs.ref_total, 0.0, rtol=0, atol=1e-15)
 
 
@@ -203,7 +204,7 @@ def test_constant_distortion_zeroes_g1():
     x = rng.uniform(-1, 1, lat.input_size)
     offset = np.array([0.3, -0.4, 0.1])
     params.ref_vectors[:] = lat.gather(x) + offset  # e_y = |offset|^2 for all y
-    st = build_state(x, lat, params, lat.leakage)
+    st = build_state(x, lat, params)
     assert np.ptp(st.e) <= 1e-15
     g1 = kernels(st)[2]
     for y in range(7):
@@ -215,9 +216,9 @@ def test_n1_removes_coherent_gradients():
     cfg, params, x = random_instance(rng)
     lat = get_lattice(cfg)
     samples = SampleSet(vectors=x[None, :])
-    gs = all_gradients(samples, lat, params, lat.leakage, 1.0)
+    gs = all_gradients(samples, lat, params, 1.0)
     # the d2 coefficients are 0, so the totals are exactly the d1 parts
-    st = build_state(x, lat, params, lat.leakage)
+    st = build_state(x, lat, params)
     g1 = kernels(st)[2]
     m = lat.num_nodes
     bias_d1 = (2.0 / m * g1) * (1.0 - st.q)
@@ -234,7 +235,7 @@ def test_finite_difference_check_passes():
         lat = get_lattice(cfg)
         params = make_params(lat, rng)
         samples = SampleSet(vectors=rng.uniform(-1, 1, (3, lat.input_size)))
-        report = finite_difference_check(samples, lat, params, lat.leakage, n)
+        report = finite_difference_check(samples, lat, params, n)
         assert report.passed(1e-5), report.format_text(limit=3)
         assert len(report.entries) == 5 + 2 * 5 * 3
 
@@ -246,8 +247,7 @@ def test_finite_difference_check_detects_corruption():
     lat = get_lattice(cfg)
     params = make_params(lat, rng)
     samples = SampleSet(vectors=rng.uniform(-1, 1, (2, lat.input_size)))
-    report = finite_difference_check(samples, lat, params, lat.leakage, 2.0,
-                                     corrupt_first_component=True)
+    report = finite_difference_check(samples, lat, params, 2.0, corrupt_first_component=True)
     assert not report.passed(1e-5)
     assert report.worst is not None and report.worst.kind == "ref"
 
@@ -259,7 +259,7 @@ def test_report_format_text():
     lat = get_lattice(cfg)
     params = make_params(lat, rng)
     samples = SampleSet(vectors=rng.uniform(-1, 1, (2, lat.input_size)))
-    report = finite_difference_check(samples, lat, params, lat.leakage, 2.0)
+    report = finite_difference_check(samples, lat, params, 2.0)
     text = report.format_text(limit=2)
     assert text.startswith("kind node comp")
     assert "max_rel_error" in text
@@ -285,11 +285,11 @@ def test_saturated_activations_keep_gradients_finite(cfg):
                         ref_vectors=rng.uniform(-0.6, 0.6, (m, k)))
     xs = rng.uniform(-1, 1, (3, lat.input_size))
     n = 5.0
-    gs = all_gradients(SampleSet(vectors=xs), lat, params, lat.leakage, n)
+    gs = all_gradients(SampleSet(vectors=xs), lat, params, n)
     assert gs.all_finite()
     parts, mags = [0.0] * 6, [0.0] * 6
     for x in xs:
-        st = build_state(x, lat, params, lat.leakage)
+        st = build_state(x, lat, params)
         assert np.all(st.q > 0) and np.all(st.q < 1e-300)
         assert np.all(np.isfinite(st.post)) and st.post.max() <= 1.0
         terms = split_terms(*kernels(st), 1.0 - st.q, st.x_windows)
@@ -314,7 +314,7 @@ def test_state_has_no_full_input_arrays():
     d = lat.input_size
     assert d not in (lat.num_nodes, lat.window_len, len(lat.nbr_indices))
     rng = np.random.default_rng(31)
-    st = build_state(rng.uniform(-1, 1, d), lat, make_params(lat, rng), lat.leakage)
+    st = build_state(rng.uniform(-1, 1, d), lat, make_params(lat, rng))
     arrays = {name: value for name, value in vars(st).items() if isinstance(value, np.ndarray)}
     assert set(arrays) >= {"x_windows", "q", "post", "p", "rho", "d_win", "e", "dbar"}
     assert [name for name, a in arrays.items() if d in a.shape] == ["dbar"]

@@ -12,9 +12,11 @@ from pmdnet.lattice import (
     build_leakage,
     get_lattice,
     input_window,
-    inverse_neighbourhood,
     neighbourhood,
 )
+
+from helpers import dense_operator, inverse_neighbourhood, nbr_row
+from oracle_expanded import leakage_dense, nbr, node_list
 
 STRIPE_1D = LatticeConfig(
     node_dims=(1, 100),
@@ -103,13 +105,13 @@ def test_exchange_identity_arbitrary_summand():
 def test_leakage_identity_window():
     cfg = LatticeConfig(node_dims=(1, 9), input_window=(1, 1),
                         neighbourhood_window=(1, 3), leakage_window=(1, 1))
-    dense = build_leakage(cfg).to_dense()
+    dense = dense_operator(build_leakage(cfg).op)
     assert np.array_equal(dense, np.eye(9))
 
 
 def test_leakage_interior_uniform():
     lk = build_leakage(STRIPE_1D)
-    row = lk.to_dense()[50]
+    row = dense_operator(lk.op)[50]
     nz = np.nonzero(row)[0]
     assert list(nz) == list(range(43, 58))
     assert np.allclose(row[nz], 1.0 / 15.0, rtol=0, atol=1e-15)
@@ -117,7 +119,7 @@ def test_leakage_interior_uniform():
 
 def test_leakage_edge_renormalized():
     lk = build_leakage(STRIPE_1D)
-    row = lk.to_dense()[0]
+    row = dense_operator(lk.op)[0]
     nz = np.nonzero(row)[0]
     assert list(nz) == list(range(0, 8))
     assert np.allclose(row[nz], 1.0 / 8.0, rtol=0, atol=1e-15)
@@ -131,7 +133,7 @@ def test_leakage_rows_sum_to_one_many_configs():
         LatticeConfig((7, 1), (3, 1), (5, 1), (7, 1)),
     ]
     for cfg in configs:
-        dense = build_leakage(cfg).to_dense()
+        dense = dense_operator(build_leakage(cfg).op)
         assert np.all(dense >= 0)
         assert np.max(np.abs(dense.sum(axis=1) - 1.0)) <= 1e-12
 
@@ -183,7 +185,7 @@ def test_lattice_neighbour_rows_match_sets():
     for i in range(3):
         for j in range(5):
             k = lat.flat((i, j))
-            got = {lat.coords(f) for f in lat.nbr_row(k)}
+            got = {lat.coords(f) for f in nbr_row(lat, k)}
             assert got == neighbourhood(cfg, (i, j))
 
 
@@ -230,13 +232,31 @@ def test_sum_operators_equal_bincount_bitwise(instance):
                   neighbourhood_window=(7, 7), leakage_window=(5, 5)),
     LatticeConfig(node_dims=(1, 8), input_window=(1, 5),
                   neighbourhood_window=(1, 3), leakage_window=(1, 3)),
-], ids=["stripe", "40x40", "1x8"])
+    # windows that differ by axis, so a swapped row and column fails
+    LatticeConfig(node_dims=(6, 7), input_window=(3, 3),
+                  neighbourhood_window=(3, 5), leakage_window=(5, 3)),
+], ids=["stripe", "40x40", "1x8", "6x7"])
 def test_sum_operators_equal_scipy_product_bitwise(cfg):
     # SumOperator calls scipy's private CSR kernel; a scipy release that
     # changes that kernel must fail here rather than change results
     lat = get_lattice(cfg)
     rng = np.random.default_rng(0)
-    for op in (lat.nbr_row_sum, lat.nbr_col_sum, lat.win_cell_sum):
+    ops = (lat.nbr_sum, lat.nbr_row_sum, lat.nbr_col_sum, lat.win_cell_sum,
+           lat.leakage.op, lat.leakage.transpose_op)
+    for op in ops:
         w = rng.standard_normal(op.shape[1]) * 10.0 ** rng.uniform(-13, 13, op.shape[1])
         product = sparse.csr_array((op.data, op.indices, op.indptr), shape=op.shape) @ w
         assert op(w).tobytes() == product.tobytes()
+
+    # the window sums, L and L^T against scipy matrices built here from the
+    # definitions, L^T as the CSC product L.T @ v
+    flat = {y: k for k, y in enumerate(node_list(cfg))}
+    windows = np.zeros((lat.num_nodes, lat.num_nodes))
+    for yp in node_list(cfg):
+        for y in nbr(cfg, yp):
+            windows[flat[yp], flat[y]] = 1.0
+    leak = sparse.csr_array(leakage_dense(cfg))
+    v = rng.standard_normal(lat.num_nodes) * 10.0 ** rng.uniform(-13, 13, lat.num_nodes)
+    assert lat.nbr_sum(v).tobytes() == (sparse.csr_array(windows) @ v).tobytes()
+    assert lat.leakage.apply(v).tobytes() == (leak @ v).tobytes()
+    assert lat.leakage.apply_transpose(v).tobytes() == (leak.T @ v).tobytes()

@@ -97,7 +97,7 @@ def test_compute_D1_D2_n1_kills_d2():
     rng = np.random.default_rng(1)
     params = random_params(lat, rng)
     samples = SampleSet(vectors=rng.uniform(-1, 1, (5, lat.input_size)))
-    bv = compute_D1_D2(samples, lat, params, lat.leakage, 1.0)
+    bv = compute_D1_D2(samples, lat, params, 1.0)
     assert bv.d2 == 0.0
     assert bv.d1 >= 0.0
 
@@ -109,7 +109,7 @@ def test_compute_D1_D2_zero_residuals_give_zero():
     x = rng.uniform(-1, 1, lat.input_size)
     params.ref_vectors[:] = lat.gather(x)  # perfect windowed reconstruction
     samples = SampleSet(vectors=x[None, :])
-    bv = compute_D1_D2(samples, lat, params, lat.leakage, 3.0)
+    bv = compute_D1_D2(samples, lat, params, 3.0)
     assert abs(bv.d1) <= 1e-15
     assert abs(bv.d2) <= 1e-15
 
@@ -121,7 +121,7 @@ def test_compute_D1_D2_matches_literal_loops():
         lat = get_lattice(cfg)
         samples = SampleSet(vectors=rng.uniform(-1, 1, (5, lat.input_size)))
         for n in (1.0, 2.0, 5.0):
-            bv = compute_D1_D2(samples, lat, params, lat.leakage, n)
+            bv = compute_D1_D2(samples, lat, params, n)
             d1 = np.mean([expanded_quantities(x, cfg, params, n)["d1"] for x in samples.vectors])
             d2 = np.mean([expanded_quantities(x, cfg, params, n)["d2"] for x in samples.vectors])
             assert abs(bv.d1 - d1) <= 1e-12 * max(1.0, abs(d1))
@@ -320,7 +320,7 @@ def test_stationary_form_matches_model_objective_on_common_support():
     assert np.allclose(lat.scatter_rows(ref_win), sol, rtol=0, atol=1e-12)
 
     params_sol = NodeParams(weights=weights, biases=biases, ref_vectors=ref_win)
-    model = compute_D1_D2(samples, lat, params_sol, lat.leakage, n)
+    model = compute_D1_D2(samples, lat, params_sol, n)
     const = 2.0 * float((x**2).sum(axis=1).mean())
     form = stationary_form_value(samples, post, sol, n)
     assert abs(model.total - (form + const)) <= 1e-10 * max(1.0, abs(model.total))

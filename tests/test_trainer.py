@@ -10,7 +10,7 @@ import pytest
 
 from pmdnet.activation import NodeParams
 from pmdnet.cli import DEFAULTS, GRADCHECK_DEFAULTS, SECTIONS, config_hash, load_run_config, main
-from pmdnet.datagen import TrainingConfig, TrainingVector, parity_mask
+from pmdnet.datagen import TrainingConfig, parity_mask
 from pmdnet.gradients import GradientSet, gradient_set_from_states, build_state
 from pmdnet.lattice import LatticeConfig, get_lattice
 from pmdnet.trainer import (
@@ -66,8 +66,7 @@ def test_data_scale():
 def test_next_vector_is_conditioned():
     st = new_state(SMALL_CFG, SMALL_TC)
     for _ in range(10):
-        tv = next_vector(st)
-        assert np.abs(tv.values).max() <= 1.0 + 1e-15
+        assert np.abs(next_vector(st)).max() <= 1.0 + 1e-15
 
 
 def test_adapt_rates_worked_example():
@@ -109,7 +108,7 @@ def test_zero_gradient_step_changes_nothing_but_step():
     x = np.array([[0.3, -0.2, 0.5]])
     st.params.ref_vectors[:] = st.lattice.gather(x.reshape(-1))
     before = (st.params.weights.copy(), st.params.biases.copy(), st.params.ref_vectors.copy())
-    train_step(st, TrainingVector(values=x, parity=parity_mask(cfg)))
+    train_step(st, x)
     assert st.step == 1
     assert np.array_equal(st.params.weights, before[0])
     assert np.array_equal(st.params.biases, before[1])
@@ -120,14 +119,12 @@ def test_rate_rule_controls_mean_step_size():
     st = new_state(SMALL_CFG, SMALL_TC)
     run_training(st, 5)  # move off the cold start
     for _ in range(5):
-        tv = next_vector(st)
+        x = next_vector(st)
         lat = st.lattice
-        grads = gradient_set_from_states(
-            [build_state(tv.values.reshape(-1), lat, st.params, lat.leakage)],
-            lat, float(st.tcfg.n))
+        grads = gradient_set_from_states([build_state(x, lat, st.params)], lat, float(st.tcfg.n))
         before = (st.params.biases.copy(), st.params.weights.copy(),
                   st.params.ref_vectors.copy())
-        train_step(st, tv)
+        train_step(st, x)
         after = (st.params.biases, st.params.weights, st.params.ref_vectors)
         totals = (grads.bias_total, grads.weight_total, grads.ref_total)
         for i in range(3):
@@ -150,16 +147,16 @@ def test_training_is_seed_deterministic():
 def test_restart_policy_replays_stream():
     st = new_state(SMALL_CFG, SMALL_TC, seed_policy="restart")
     run_training(st, 0)
-    v1 = next_vector(st).values
+    v1 = next_vector(st)
     run_training(st, 0)  # segment boundary: stream restarts
-    v2 = next_vector(st).values
+    v2 = next_vector(st)
     assert np.array_equal(v1, v2)
 
     st = new_state(SMALL_CFG, SMALL_TC, seed_policy="fresh")
     run_training(st, 0)
-    v1 = next_vector(st).values
+    v1 = next_vector(st)
     run_training(st, 0)
-    v2 = next_vector(st).values
+    v2 = next_vector(st)
     assert not np.array_equal(v1, v2)
 
 
@@ -169,7 +166,7 @@ def test_heldout_stream_does_not_touch_training_stream():
     _ = next_vector(a)
     _ = next_vector(b)
     heldout_samples(SMALL_CFG, SMALL_TC, 16)  # independent stream
-    assert np.array_equal(next_vector(a).values, next_vector(b).values)
+    assert np.array_equal(next_vector(a), next_vector(b))
 
 
 def test_heldout_samples_shape_and_determinism():
@@ -185,7 +182,7 @@ def test_dominance_zero_refs():
     prof = dominance(st)
     assert np.all(prof.a1 == 0.0)
     assert np.all(prof.a2 == 0.0)
-    assert np.all(prof.signed() == 0.0)
+    assert np.all(prof.a1 - prof.a2 == 0.0)
 
 
 def test_dominance_parity_indicator_refs():
@@ -197,7 +194,7 @@ def test_dominance_parity_indicator_refs():
     prof = dominance_arrays(params, lat, par)
     assert np.allclose(prof.a1, 1.0, rtol=0, atol=1e-15)
     assert np.allclose(prof.a2, 0.0, rtol=0, atol=1e-15)
-    assert np.allclose(prof.signed(), 1.0, rtol=0, atol=1e-15)
+    assert np.allclose(prof.a1 - prof.a2, 1.0, rtol=0, atol=1e-15)
 
 
 def test_dominance_requires_two_subspaces():
@@ -462,6 +459,8 @@ def test_checkpoint_rejects_malformed_header(tmp_path):
         put(["lattice", "node_dims"], [1.0, 12]),
         put(["step"], 2.5),
         put(["step"], True),
+        # a non-finite config value (JSON NaN)
+        put(["training", "nu"], float("nan")),
         lambda h: [h],
         lambda h: b"{not json",
         lambda h: b"\xff\xfe",
