@@ -43,7 +43,6 @@ from .lattice import LatticeConfig, get_lattice
 from .objective import SampleSet, compute_D_exact
 from .schema import check_field_types, config_hash, field_types
 from .trainer import (
-    RESUMABLE,
     SEED_POLICIES,
     CheckpointError,
     TrainerState,
@@ -63,6 +62,10 @@ EXIT_CONFIG = 2
 EXIT_IO = 3
 
 CHANNELS = ("a1", "a2")
+# The settings stored in a checkpoint that a resumed run may change: how long
+# it runs and how it steps, not what the model is.  A run's other [run]
+# settings are not stored in a checkpoint, so a resume may change them too.
+RESUMABLE = ("training.updates", "training.epsilon", "run.seed_policy")
 
 
 class ConfigError(ValueError):
@@ -218,15 +221,18 @@ def _setting(rc: RunConfig, setting: str):
 
 
 def _resume(path: str, merged: dict[str, str], rc: RunConfig) -> tuple[TrainerState, RunConfig]:
-    """Load a checkpoint, changing the RESUMABLE settings that were given,
+    """Load a checkpoint, apply the RESUMABLE settings that were given to it,
     and return it with the config the resumed run runs.
 
     Any other [lattice] or [training] setting that was given (config file,
     --override or --seed) must equal the checkpoint's; one that differs is
     a ConfigError, because the run would otherwise ignore it.
     """
-    state = checkpoint_load(path, {setting.partition(".")[2]: _setting(rc, setting)
-                                   for setting in merged if setting in RESUMABLE} or None)
+    state = checkpoint_load(path)
+    given = {setting.partition(".")[2]: _setting(rc, setting) for setting in merged if setting in RESUMABLE}
+    # seed_policy is the one [run] setting; the rest belong to [training]
+    state.seed_policy = given.pop("seed_policy", state.seed_policy)
+    state.tcfg = dataclasses.replace(state.tcfg, **given)
     ran = dataclasses.replace(rc, lattice=state.lattice_cfg, training=state.tcfg,
                               seed_policy=state.seed_policy)
     changed = [setting for setting in sorted(merged) if _setting(ran, setting) != _setting(rc, setting)]

@@ -56,6 +56,8 @@ class TrainingConfig:
             raise ValueError("n must be >= 1")
         if not self.epsilon > 0:
             raise ValueError("epsilon must be positive")
+        if self.seed < 0:
+            raise ValueError(f"seed must be nonnegative, got {self.seed}")
         if self.updates < 0:
             raise ValueError("updates must be nonnegative")
 

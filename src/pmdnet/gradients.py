@@ -34,8 +34,8 @@ d2 parts: with c1, c2 the bias/weight and r1, r2 the ref coefficients above,
     weight = bias x_win
     ref    = (r1 rho) d + (r2 rho) dbar_win.
 
-kernels() returns f1, f2, g1 and g2 separately; the tests check the d1/d2
-split there, against the expanded-sum oracle.
+build_state stores g1 and g2 themselves; the tests form f1 and f2 from the
+state and check the d1/d2 split against the expanded-sum oracle.
 """
 
 from __future__ import annotations
@@ -53,18 +53,15 @@ from .objective import Forward, SampleSet, compute_D1_D2, forward
 class ActivationState(Forward):
     """One input's forward pass plus the derivative pieces.
 
-    dbar_win is dbar gathered on each node's input window (M, K).  le and
-    lh are the leakage-smoothed distortions L e and L h, with h_y = d_y .
-    dbar the residual of node y projected on the coherent residual; ptple
-    and ptplh apply P^T P to them (all (M,)).
+    dbar_win is dbar gathered on each node's input window (M, K).  g1 and
+    g2 are the per-node kernels p (L e) - P^T P L e and p (L h) - P^T P L h,
+    with h_y = d_y . dbar the residual of node y projected on the coherent
+    residual (both (M,), without the sigmoid factor 1 - Q).
     """
 
-    lattice: Lattice
     dbar_win: np.ndarray
-    le: np.ndarray
-    lh: np.ndarray
-    ptple: np.ndarray
-    ptplh: np.ndarray
+    g1: np.ndarray
+    g2: np.ndarray
 
 
 def _ptp(post: np.ndarray, lattice: Lattice, v: np.ndarray) -> np.ndarray:
@@ -82,8 +79,8 @@ def build_state(x: np.ndarray, lattice: Lattice, params: NodeParams) -> Activati
     le = lattice.leakage.apply(fw.e)
     lh = lattice.leakage.apply(h)
     return ActivationState(
-        **vars(fw), lattice=lattice, dbar_win=dbar_win, le=le, lh=lh,
-        ptple=_ptp(fw.post, lattice, le), ptplh=_ptp(fw.post, lattice, lh),
+        **vars(fw), dbar_win=dbar_win,
+        g1=fw.p * le - _ptp(fw.post, lattice, le), g2=fw.p * lh - _ptp(fw.post, lattice, lh),
     )
 
 
@@ -104,18 +101,6 @@ class GradientSet:
         return all(np.all(np.isfinite(a)) for a in (self.bias_total, self.weight_total, self.ref_total))
 
 
-def _g_kernels(state: ActivationState):
-    return state.p * state.le - state.ptple, state.p * state.lh - state.ptplh
-
-
-def kernels(state: ActivationState):
-    """Per-sample kernels before coefficients: f1 and f2 windowed (M, K),
-    g1 and g2 per node (M,) without the sigmoid factor (1 - Q)."""
-    f1 = state.rho[:, None] * state.d_win
-    f2 = state.rho[:, None] * state.dbar_win
-    return (f1, f2, *_g_kernels(state))
-
-
 def gradient_set_from_states(states, lattice: Lattice, n: float) -> GradientSet:
     """Average the per-sample bias, weight and ref totals over the states."""
     m = lattice.num_nodes
@@ -124,8 +109,7 @@ def gradient_set_from_states(states, lattice: Lattice, n: float) -> GradientSet:
     totals = None
     count = 0
     for state in states:
-        g1, g2 = _g_kernels(state)
-        bias = (c1 * g1 + c2 * g2) * (1.0 - state.q)
+        bias = (c1 * state.g1 + c2 * state.g2) * (1.0 - state.q)
         ref = (r1 * state.rho)[:, None] * state.d_win
         ref += (r2 * state.rho)[:, None] * state.dbar_win
         terms = (bias, bias[:, None] * state.x_windows, ref)

@@ -4,7 +4,10 @@ One training vector is drawn, conditioned, and consumed per update.  Each
 of the three parameter types (biases, weights, reference vectors) gets its
 own update rate, recomputed for every training vector so that the mean
 absolute parameter change of type t equals epsilon times the current
-spread (max - min) of that type's values.
+spread (max - min) of that type's values.  A step computes its update out
+of place and commits it only when every new value is finite; run_training
+puts the data RNG back when a step raises.  A failed step therefore changes
+nothing: parameters, rates, step count and RNG are as they were before it.
 
 Checkpoints are versioned binary files whose save/load round trip is
 bit-exact, including the data RNG state, so an interrupted run resumed
@@ -38,10 +41,6 @@ CHECKPOINT_VERSION = 1
 
 # "fresh" continues the data stream across run segments; "restart" replays it
 SEED_POLICIES = ("fresh", "restart")
-# The settings stored in a checkpoint that a resumed run may change: how long
-# it runs and how it steps, not what the model is.  A run's other [run]
-# settings are not stored in a checkpoint, so a resume may change them too.
-RESUMABLE = ("training.updates", "training.epsilon", "run.seed_policy")
 
 
 class CheckpointError(RuntimeError):
@@ -72,6 +71,14 @@ class TrainerState:
     data_rng: np.random.Generator
     seed_policy: str        # one of SEED_POLICIES
 
+    def __post_init__(self):
+        if self.seed_policy not in SEED_POLICIES:
+            raise ValueError(f"seed_policy must be one of {SEED_POLICIES}, got {self.seed_policy!r}")
+        if type(self.step) is not int or self.step < 0:  # a float or bool is not a step count
+            raise ValueError(f"step must be an int >= 0, got {self.step!r}")
+        if np.shape(self.rates) != (3,) or np.shape(self.diameters) != (3,):
+            raise ValueError("rates and diameters must hold 3 values")
+
     @property
     def lattice(self) -> Lattice:
         return get_lattice(self.lattice_cfg)
@@ -99,8 +106,6 @@ def init_params(lattice: Lattice, rng: np.random.Generator) -> NodeParams:
 
 
 def new_state(lattice_cfg: LatticeConfig, tcfg: TrainingConfig, seed_policy: str = "fresh") -> TrainerState:
-    if seed_policy not in SEED_POLICIES:
-        raise ValueError(f"seed_policy must be one of {SEED_POLICIES}, got {seed_policy!r}")
     lattice = get_lattice(lattice_cfg)
     init_rng = np.random.default_rng([tcfg.seed, 0])
     params = init_params(lattice, init_rng)
@@ -130,6 +135,12 @@ def _spread(values: np.ndarray) -> float:
     return max(float(values.max() - values.min()), DIAMETER_FLOOR)
 
 
+def _paired(params: NodeParams, grads: GradientSet):
+    """(values, gradient) of each parameter type, ordered as PARAM_TYPES."""
+    return ((params.biases, grads.bias_total), (params.weights, grads.weight_total),
+            (params.ref_vectors, grads.ref_total))
+
+
 def adapt_rates(params: NodeParams, grads: GradientSet, epsilon: float) -> tuple[np.ndarray, np.ndarray]:
     """Per-type rates: epsilon * spread / (mean |gradient| + tiny).
 
@@ -137,15 +148,9 @@ def adapt_rates(params: NodeParams, grads: GradientSet, epsilon: float) -> tuple
     epsilon * spread_t whenever the mean gradient magnitude is nonzero.
     Returns (rates, spreads) ordered as PARAM_TYPES.
     """
-    by_type = {
-        "bias": (params.biases, grads.bias_total),
-        "weight": (params.weights, grads.weight_total),
-        "ref": (params.ref_vectors, grads.ref_total),
-    }
     rates = np.zeros(3)
     diameters = np.zeros(3)
-    for i, name in enumerate(PARAM_TYPES):
-        values, grad = by_type[name]
+    for i, (values, grad) in enumerate(_paired(params, grads)):
         diameters[i] = _spread(values)
         # a huge epsilon overflows to inf here; train_step reports that
         with np.errstate(over="ignore"):
@@ -164,14 +169,14 @@ def train_step(state: TrainerState, x: np.ndarray) -> TrainerState:
     rates, diameters = adapt_rates(state.params, grads, state.tcfg.epsilon)
     if not np.all(np.isfinite(rates)):
         raise TrainingDivergedError(f"non-finite update rate at step {state.step}")
-    # an overflowing update is reported by the check below, not as a warning
+    # each new value is written over its gradient total, which this step
+    # owns; an overflow is reported by the check below, not as a warning
     with np.errstate(over="ignore", invalid="ignore"):
-        state.params.biases -= rates[0] * grads.bias_total
-        state.params.weights -= rates[1] * grads.weight_total
-        state.params.ref_vectors -= rates[2] * grads.ref_total
-    for arr in (state.params.biases, state.params.weights, state.params.ref_vectors):
-        if not np.all(np.isfinite(arr)):
-            raise TrainingDivergedError(f"non-finite parameter at step {state.step}")
+        new = [np.subtract(values, np.multiply(rate, grad, out=grad), out=grad)
+               for rate, (values, grad) in zip(rates, _paired(state.params, grads))]
+    if not all(np.all(np.isfinite(arr)) for arr in new):
+        raise TrainingDivergedError(f"non-finite parameter at step {state.step}")
+    state.params.biases, state.params.weights, state.params.ref_vectors = new
     state.rates = rates
     state.diameters = diameters
     state.step += 1
@@ -194,12 +199,18 @@ def run_training(state: TrainerState, updates: int, on_step=None) -> TrainerStat
 
     Under the "restart" seed policy every segment replays the same data
     stream (a finite training set revisited); under "fresh" the stream
-    continues from the stored RNG state.
+    continues from the stored RNG state.  A step that raises leaves the RNG
+    where it was before that step's draw.
     """
     if state.seed_policy == "restart":
         state.data_rng = np.random.default_rng([state.tcfg.seed, 1])
     for _ in range(updates):
-        train_step(state, next_vector(state))
+        rng_state = state.data_rng.bit_generator.state
+        try:
+            train_step(state, next_vector(state))
+        except Exception:
+            state.data_rng.bit_generator.state = rng_state
+            raise
         if on_step is not None:
             on_step(state)
     return state
@@ -281,12 +292,9 @@ def checkpoint_save(state: TrainerState, path) -> None:
         raise
 
 
-def checkpoint_load(path, overrides: dict | None = None) -> TrainerState:
-    """Restore a TrainerState; load(save(state)) is bit-identical.
-
-    `overrides` may change only the settings RESUMABLE names, each keyed by
-    its name in the header section (updates, epsilon, seed_policy).
-    """
+def checkpoint_load(path) -> TrainerState:
+    """Restore the TrainerState that was saved; load(save(state)) is
+    bit-identical."""
     with open(path, "rb") as fh:
         blob = fh.read()
     if len(blob) < 8 + 4 + 8 + 32:
@@ -305,61 +313,32 @@ def checkpoint_load(path, overrides: dict | None = None) -> TrainerState:
         header = json.loads(blob[header_start:header_start + header_len].decode("utf-8"))
         # the sections hold exactly the config dataclasses' fields
         lattice_cfg = LatticeConfig(**header["lattice"])
-        tcfg = TrainingConfig(**header["training"])
-        seed_policy = header["seed_policy"]
-        if seed_policy not in SEED_POLICIES:
-            raise ValueError(f"bad seed_policy {seed_policy!r}")
-        step = header["step"]
-        if type(step) is not int:  # a JSON int; a float or bool is malformed
-            raise ValueError(f"step must be an int, got {step!r}")
-        rates = np.array(header["rates"], dtype=float)
-        diameters = np.array(header["diameters"], dtype=float)
-        if step < 0 or rates.shape != (3,) or diameters.shape != (3,):
-            raise ValueError("step must be >= 0 and rates, diameters must hold 3 values")
+        lattice = get_lattice(lattice_cfg)
+        m, k = lattice.num_nodes, lattice.window_len
+        arrays, offset = [], header_start + header_len
+        for nbytes in (m * k * 8, m * 8, m * k * 8):
+            chunk = blob[offset:offset + nbytes]
+            if len(chunk) != nbytes:
+                raise CheckpointError("checkpoint file is truncated")
+            arrays.append(np.frombuffer(chunk, dtype="<f8").copy())
+            offset += nbytes
+        if offset != len(blob) - 32:
+            raise CheckpointError("checkpoint has trailing garbage")
         rng_state = header["rng"]
         if rng_state.get("bit_generator") != "PCG64":
             raise CheckpointError(f"unsupported RNG {rng_state.get('bit_generator')!r}")
         data_rng = np.random.Generator(np.random.PCG64())
         data_rng.bit_generator.state = rng_state
+        return TrainerState(
+            lattice_cfg=lattice_cfg,
+            tcfg=TrainingConfig(**header["training"]),
+            params=NodeParams(weights=arrays[0].reshape(m, k), biases=arrays[1],
+                              ref_vectors=arrays[2].reshape(m, k)),
+            step=header["step"],  # a JSON int; a float or bool is malformed
+            rates=np.array(header["rates"], dtype=float),
+            diameters=np.array(header["diameters"], dtype=float),
+            data_rng=data_rng,
+            seed_policy=header["seed_policy"],
+        )
     except (KeyError, TypeError, ValueError, AttributeError) as exc:
         raise CheckpointError(f"malformed checkpoint header: {exc!r}") from exc
-    if overrides:
-        allowed = {setting.partition(".")[2] for setting in RESUMABLE}
-        unknown = set(overrides) - allowed
-        if unknown:
-            raise ValueError(f"only {sorted(allowed)} may be overridden, got {sorted(unknown)}")
-        seed_policy = overrides.get("seed_policy", seed_policy)
-        if seed_policy not in SEED_POLICIES:
-            raise ValueError(f"bad seed_policy override {seed_policy!r}")
-        tcfg = dataclasses.replace(tcfg, **{key: value for key, value in overrides.items()
-                                            if f"training.{key}" in RESUMABLE})
-
-    lattice = get_lattice(lattice_cfg)
-    m, k = lattice.num_nodes, lattice.window_len
-    sizes = [m * k, m, m * k]
-    offset = header_start + header_len
-    arrays = []
-    for size in sizes:
-        nbytes = size * 8
-        chunk = blob[offset:offset + nbytes]
-        if len(chunk) != nbytes:
-            raise CheckpointError("checkpoint file is truncated")
-        arrays.append(np.frombuffer(chunk, dtype="<f8").copy())
-        offset += nbytes
-    if offset != len(blob) - 32:
-        raise CheckpointError("checkpoint has trailing garbage")
-    params = NodeParams(
-        weights=arrays[0].reshape(m, k),
-        biases=arrays[1],
-        ref_vectors=arrays[2].reshape(m, k),
-    )
-    return TrainerState(
-        lattice_cfg=lattice_cfg,
-        tcfg=tcfg,
-        params=params,
-        step=step,
-        rates=rates,
-        diameters=diameters,
-        data_rng=data_rng,
-        seed_policy=seed_policy,
-    )

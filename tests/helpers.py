@@ -23,6 +23,12 @@ def dense_operator(op) -> np.ndarray:
     return out
 
 
+def kernels(state):
+    """Per-sample kernels before coefficients: f1 = rho d and f2 = rho dbar
+    windowed (M, K), and the state's own g1 and g2 per node (M,)."""
+    return state.rho[:, None] * state.d_win, state.rho[:, None] * state.dbar_win, state.g1, state.g2
+
+
 def nbr_row(lattice, y_flat: int) -> np.ndarray:
     """Flat indices of N(y) for node y_flat, read from the lattice's
     neighbourhood layout."""

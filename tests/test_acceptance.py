@@ -14,7 +14,7 @@ from pmdnet.activation import NodeParams, localized_posterior_rows, pmd_posterio
 from pmdnet.analytic import SolutionType, optimal_type, solution_value
 from pmdnet.cli import main
 from pmdnet.datagen import TrainingConfig
-from pmdnet.gradients import build_state, finite_difference_check, kernels
+from pmdnet.gradients import build_state, finite_difference_check
 from pmdnet.lattice import LatticeConfig, get_lattice
 from pmdnet.objective import (
     SampleSet,
@@ -32,7 +32,7 @@ from pmdnet.trainer import (
     run_training,
 )
 
-from helpers import dense_operator
+from helpers import dense_operator, kernels
 from oracle_expanded import expanded_quantities, random_instance
 
 STRIPE_LATTICE = LatticeConfig(node_dims=(1, 100), input_window=(1, 41),

@@ -1,5 +1,6 @@
 """Command-line layer: config merging, exit codes, output files."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -17,7 +18,7 @@ from pmdnet.cli import (
 
 from pmdnet.trainer import checkpoint_load, checkpoint_save
 
-from test_trainer import rewrite_header
+from test_trainer import read_header, rewrite_header
 
 TINY_INI = """\
 [lattice]
@@ -106,9 +107,13 @@ def test_build_run_config_validation():
     for override in (["lattice.node_dims=1,2,3"], ["training.kappa=fast"],
                      ["run.seed_policy=maybe"], ["run.channel=a3"],
                      ["run.heldout_size=0"], ["lattice.input_window=1,4"],
-                     ["training.nu=nan"], ["training.kappa=inf"], ["training.epsilon=inf"]):
+                     ["training.nu=nan"], ["training.kappa=inf"], ["training.epsilon=inf"],
+                     ["training.seed=-1"]):
         with pytest.raises(ConfigError):
             build_run_config(merge_config(None, override, None))
+    # a negative --seed is a config error that names the seed, not numpy's
+    with pytest.raises(ConfigError, match="^seed must be nonnegative"):
+        build_run_config(merge_config(None, [], -1))
 
     # a value that does not parse as its declared type names its setting
     for override, setting in (("training.n=2.5", "training.n"), ("training.kappa=fast", "training.kappa")):
@@ -325,6 +330,18 @@ def test_resume_rejects_model_overrides(tmp_path, capsys, extra):
     assert not resumed.exists()
 
 
+def test_resume_applies_seed_policy(tmp_path, capsys):
+    ini = write_tiny(tmp_path)
+    full = tmp_path / "full"
+    assert main(["train", "--config", str(ini), "--out-dir", str(full)]) == 0
+    resumed = tmp_path / "resumed"
+    assert main(["train", "--resume", str(full / "checkpoint_000020.ckpt"), "--out-dir", str(resumed),
+                 "--override", "run.seed_policy=restart"]) == 0
+    assert "finished at step 40" in capsys.readouterr().out
+    header = read_header((resumed / "checkpoint_final.ckpt").read_bytes())
+    assert header["seed_policy"] == "restart" and header["step"] == 40
+
+
 def test_train_outputs_are_deterministic(tmp_path, capsys):
     ini = write_tiny(tmp_path)
     outs = []
@@ -396,7 +413,8 @@ def test_degenerate_activity_exits_1(tmp_path, capsys):
     ini = write_tiny(tmp_path, updates=0)
     out = tmp_path / "out"
     assert main(["train", "--config", str(ini), "--out-dir", str(out)]) == 0
-    state = checkpoint_load(out / "checkpoint_final.ckpt", {"updates": 2})
+    state = checkpoint_load(out / "checkpoint_final.ckpt")
+    state.tcfg = dataclasses.replace(state.tcfg, updates=2)
     state.params.biases[:] = -800.0
     checkpoint_save(state, tmp_path / "dead.ckpt")
     capsys.readouterr()

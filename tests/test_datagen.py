@@ -24,7 +24,7 @@ def test_training_config_validation():
     good = dict(kappa=0.3, nu=0.1, s=2, n=400, epsilon=0.002, seed=0, updates=10)
     TrainingConfig(**good)
     for key, bad in [("kappa", 0.0), ("nu", -0.1), ("s", 3), ("s", 0),
-                     ("n", 0), ("epsilon", 0.0), ("updates", -1),
+                     ("n", 0), ("epsilon", 0.0), ("updates", -1), ("seed", -1),
                      ("kappa", math.inf), ("nu", math.nan), ("epsilon", math.inf)]:
         with pytest.raises(ValueError):
             TrainingConfig(**{**good, key: bad})

@@ -11,12 +11,11 @@ from pmdnet.gradients import (
     build_state,
     finite_difference_check,
     gradient_set_from_states,
-    kernels,
 )
 from pmdnet.lattice import LatticeConfig, get_lattice
 from pmdnet.objective import SampleSet
 
-from helpers import dense_operator
+from helpers import dense_operator, kernels
 from oracle_expanded import expanded_quantities, random_instance
 
 

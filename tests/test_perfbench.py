@@ -1,15 +1,22 @@
-"""The benchmark's per-layer attribution names functions that exist."""
+"""The benchmark's per-layer attribution names functions that exist, and
+its passes run against the package as it is."""
 
+import argparse
 import importlib
 import importlib.util
+import sys
 from pathlib import Path
 
-TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+import pmdnet
+from pmdnet import cli, lattice, trainer
+
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
 
-def load_tracing():
-    spec = importlib.util.spec_from_file_location("perfbench_tracing", TRACING)
+def load_perfbench(name):
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", PERFBENCH / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # dataclasses look their module up by name
     spec.loader.exec_module(module)
     return module
 
@@ -18,7 +25,7 @@ def test_every_traced_function_resolves():
     # the tracer reports a function it cannot find as absent and reads its
     # per-layer metrics as 0, so a rename in pmdnet must fail here instead
     missing = []
-    for layer, path, _metric in load_tracing().LAYER_FUNCTIONS:
+    for layer, path, _metric in load_perfbench("tracing").LAYER_FUNCTIONS:
         owner = importlib.import_module(f"pmdnet.{layer}")
         try:
             for part in path.split("."):
@@ -28,3 +35,15 @@ def test_every_traced_function_resolves():
             continue
         assert callable(owner), f"{layer}.{path}"
     assert missing == []
+
+
+def test_bench_passes_run_and_pass_their_gates(tmp_path):
+    # the namespace perfbench/run.py hands its passes; a renamed TrainerState
+    # or RunConfig field fails here instead of as a failed operation
+    pm = argparse.Namespace(package=pmdnet, cli=cli, lattice=lattice, trainer=trainer,
+                            clear_lattice_cache=lattice.get_lattice.cache_clear)
+    workloads = load_perfbench("workloads")
+    for res in (workloads.training_pass(pm, "map2d_40x40", 0, str(tmp_path), lambda _: None),
+                workloads.verify_pass(pm, 0, str(tmp_path), lambda _: None)):
+        assert res.gates and all(ok for _name, ok, _detail in res.gates), res.gates
+        assert res.failed == 0

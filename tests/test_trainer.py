@@ -9,12 +9,19 @@ import numpy as np
 import pytest
 
 from pmdnet.activation import NodeParams
-from pmdnet.cli import DEFAULTS, GRADCHECK_DEFAULTS, SECTIONS, config_hash, load_run_config, main
+from pmdnet.cli import (
+    DEFAULTS,
+    GRADCHECK_DEFAULTS,
+    RESUMABLE,
+    SECTIONS,
+    config_hash,
+    load_run_config,
+    main,
+)
 from pmdnet.datagen import TrainingConfig, parity_mask
 from pmdnet.gradients import GradientSet, gradient_set_from_states, build_state
 from pmdnet.lattice import LatticeConfig, get_lattice
 from pmdnet.trainer import (
-    RESUMABLE,
     CheckpointError,
     TrainingDivergedError,
     adapt_rates,
@@ -211,14 +218,25 @@ def test_divergence_is_reported():
         run_training(st, 1)
 
 
-def test_non_finite_update_rate_is_reported():
+def assert_saves_as(st, path):
+    """st saves to the same bytes as the checkpoint at path: parameters,
+    rates, step and data RNG all equal."""
+    again = path.with_suffix(".again")
+    checkpoint_save(st, again)
+    assert again.read_bytes() == path.read_bytes()
+
+
+def test_non_finite_update_rate_is_reported(tmp_path):
     # epsilon * spread / mean|grad| overflows: one typed error, no warning
     st = new_state(SMALL_CFG, dataclasses.replace(SMALL_TC, epsilon=1e308))
+    checkpoint_save(st, tmp_path / "before.ckpt")
     with pytest.raises(TrainingDivergedError, match="non-finite update rate at step 0"):
         run_training(st, 1)
+    # the failed step changed nothing, the data RNG included
+    assert_saves_as(st, tmp_path / "before.ckpt")
 
 
-def test_non_finite_parameter_is_reported(monkeypatch):
+def test_non_finite_parameter_is_reported(monkeypatch, tmp_path):
     # finite gradients and finite rates, but a rate so large that the update
     # overflows: refs 30 away from the data give |ref gradient| > 1, and the
     # largest finite rate times that is inf
@@ -226,8 +244,11 @@ def test_non_finite_parameter_is_reported(monkeypatch):
                         lambda params, grads, eps: (np.full(3, np.finfo(float).max), np.ones(3)))
     st = new_state(SMALL_CFG, SMALL_TC)
     st.params.ref_vectors[:] = 30.0
+    checkpoint_save(st, tmp_path / "before.ckpt")
     with pytest.raises(TrainingDivergedError, match="non-finite parameter"):
         run_training(st, 1)
+    # the update was computed out of place and never committed
+    assert_saves_as(st, tmp_path / "before.ckpt")
 
 
 def test_objective_improves_on_small_run():
@@ -276,28 +297,6 @@ def test_checkpoint_resume_equals_uninterrupted(tmp_path):
     p_resumed = tmp_path / "resumed.ckpt"
     checkpoint_save(resumed, p_resumed)
     assert p_final.read_bytes() == p_resumed.read_bytes()
-
-
-def test_checkpoint_epsilon_override(tmp_path):
-    st = run_training(new_state(SMALL_CFG, SMALL_TC), 3)
-    p = tmp_path / "c.ckpt"
-    checkpoint_save(st, p)
-    st2 = checkpoint_load(p, overrides={"epsilon": 0.5})
-    assert st2.tcfg.epsilon == 0.5
-    assert st2.tcfg.kappa == st.tcfg.kappa
-    assert st2.step == st.step
-    st3 = checkpoint_load(p, overrides={"seed_policy": "restart"})
-    assert st3.seed_policy == "restart"
-
-
-def test_checkpoint_rejects_unknown_override(tmp_path):
-    st = new_state(SMALL_CFG, SMALL_TC)
-    p = tmp_path / "d.ckpt"
-    checkpoint_save(st, p)
-    with pytest.raises(ValueError):
-        checkpoint_load(p, overrides={"seed": 9})
-    with pytest.raises(ValueError):
-        checkpoint_load(p, overrides={"seed_policy": "sometimes"})
 
 
 def test_checkpoint_corruption_detected(tmp_path):
@@ -459,6 +458,7 @@ def test_checkpoint_rejects_malformed_header(tmp_path):
         put(["lattice", "node_dims"], [1.0, 12]),
         put(["step"], 2.5),
         put(["step"], True),
+        put(["training", "seed"], -1),
         # a non-finite config value (JSON NaN)
         put(["training", "nu"], float("nan")),
         lambda h: [h],
