@@ -6,151 +6,3 @@ upper bound on the n-firing reconstruction distortion.  The package also
 carries the exactly solvable two-ring model and brute-force oracles for
 every derived quantity.
 """
-
-from .activation import (
-    DegenerateActivityError,
-    NodeParams,
-    activities,
-    localized_posterior_entries,
-    localized_posterior_rows,
-    pmd_posterior,
-    stable_sigmoid,
-    window_denominators,
-)
-from .analytic import (
-    AnalyticCase,
-    OptimalType,
-    PhaseBoundary,
-    PhaseDiagram,
-    SolutionType,
-    attachment_probability,
-    describe_crossovers,
-    optimal_type,
-    phase_diagram,
-    radius_gyration,
-    solution_value,
-    stationary_scale,
-)
-from .datagen import (
-    TrainingConfig,
-    compose_1d,
-    gen_1d,
-    gen_2d,
-    parity_mask,
-    validate_kappa,
-)
-from .gradients import (
-    ActivationState,
-    FDReport,
-    GradientSet,
-    all_gradients,
-    build_state,
-    finite_difference_check,
-)
-from .lattice import (
-    Lattice,
-    LatticeConfig,
-    LeakageMatrix,
-    build_leakage,
-    get_lattice,
-    input_window,
-    neighbourhood,
-)
-from .objective import (
-    BoundValue,
-    ExactBound,
-    SampleSet,
-    StationaritySolveError,
-    bound_from_posterior,
-    compute_D1_D2,
-    compute_D_exact,
-    ref_vectors_from_posterior,
-    solve_stationary_refvectors,
-    stationary_form_value,
-)
-from .trainer import (
-    CheckpointError,
-    DominanceProfile,
-    TrainerState,
-    TrainingDivergedError,
-    adapt_rates,
-    checkpoint_load,
-    checkpoint_save,
-    dominance,
-    heldout_objective,
-    heldout_samples,
-    init_params,
-    new_state,
-    next_vector,
-    run_training,
-    train_step,
-)
-
-__all__ = [
-    "ActivationState",
-    "AnalyticCase",
-    "BoundValue",
-    "CheckpointError",
-    "DegenerateActivityError",
-    "DominanceProfile",
-    "ExactBound",
-    "FDReport",
-    "GradientSet",
-    "Lattice",
-    "LatticeConfig",
-    "LeakageMatrix",
-    "NodeParams",
-    "OptimalType",
-    "PhaseBoundary",
-    "PhaseDiagram",
-    "SampleSet",
-    "SolutionType",
-    "StationaritySolveError",
-    "TrainerState",
-    "TrainingConfig",
-    "TrainingDivergedError",
-    "activities",
-    "adapt_rates",
-    "all_gradients",
-    "attachment_probability",
-    "bound_from_posterior",
-    "build_leakage",
-    "build_state",
-    "checkpoint_load",
-    "checkpoint_save",
-    "compose_1d",
-    "compute_D1_D2",
-    "compute_D_exact",
-    "describe_crossovers",
-    "dominance",
-    "finite_difference_check",
-    "gen_1d",
-    "gen_2d",
-    "get_lattice",
-    "heldout_objective",
-    "heldout_samples",
-    "init_params",
-    "input_window",
-    "localized_posterior_entries",
-    "localized_posterior_rows",
-    "neighbourhood",
-    "new_state",
-    "next_vector",
-    "optimal_type",
-    "parity_mask",
-    "phase_diagram",
-    "pmd_posterior",
-    "radius_gyration",
-    "ref_vectors_from_posterior",
-    "run_training",
-    "solution_value",
-    "solve_stationary_refvectors",
-    "stable_sigmoid",
-    "stationary_form_value",
-    "stationary_scale",
-    "train_step",
-    "validate_kappa",
-    "__version__",
-]
-
-__version__ = "0.1.0"

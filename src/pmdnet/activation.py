@@ -50,14 +50,6 @@ class NodeParams:
             if not np.all(np.isfinite(arr)):
                 raise ValueError("node parameters must be finite")
 
-    @classmethod
-    def zeros(cls, lattice: Lattice) -> "NodeParams":
-        m, k = lattice.num_nodes, lattice.window_len
-        return cls(np.zeros((m, k)), np.zeros(m), np.zeros((m, k)))
-
-    def copy(self) -> "NodeParams":
-        return NodeParams(self.weights.copy(), self.biases.copy(), self.ref_vectors.copy())
-
 
 def stable_sigmoid(z):
     """1 / (1 + exp(-z)) without overflow for large |z|."""

@@ -3,6 +3,7 @@
 Subcommands:
   train         online training run; writes dominance and objective CSVs,
                 checkpoints, and (for 2D node arrays) a PGM dominance map
+                per sensor
   gradcheck     finite-difference validation of all analytic gradients
   phase         closed-form value curves and phase boundaries over (M, n)
   bound-oracle  brute-force check of the exact distortion decomposition
@@ -10,16 +11,18 @@ Subcommands:
 Exit codes: 0 success, 1 check failure or a training run that failed at run
 time (it diverged to a non-finite rate, gradient or parameter, or every
 activity in some neighbourhood underflowed to zero), 2 config error, 3 IO
-error.  A training run that fails or is interrupted still writes the
-objective-trace and dominance-history rows recorded so far.
+error, 130 interrupted (Ctrl-C).  A training run that fails or is
+interrupted still writes the objective-trace and dominance-history rows
+recorded so far.
 
 Config files are INI-style key = value sections.  RunConfig is the schema:
 [lattice] sets the fields of LatticeConfig, [training] those of
 TrainingConfig and [run] RunConfig's own, each value parsed by the type its
-field declares.  A config file and --override items change a preset,
-DEFAULTS (the 1D stripe run) or GRADCHECK_DEFAULTS.  Every CSV starts with a
-comment line carrying a short hash of the typed configuration that ran, so
-two spellings of one value (0.3 and 3e-1) give one hash.
+field declares; a ';' or '#' starts a comment, also after a value.  A
+config file and --override items change a preset, DEFAULTS (the 1D stripe
+run) or GRADCHECK_DEFAULTS.  Every CSV starts with a comment line carrying a
+short hash of the typed configuration that ran, so two spellings of one
+value (0.3 and 3e-1) give one hash.
 """
 
 from __future__ import annotations
@@ -38,9 +41,9 @@ import numpy as np
 from .activation import DegenerateActivityError
 from .analytic import describe_crossovers, phase_diagram, value_table
 from .datagen import TrainingConfig, validate_kappa
-from .gradients import finite_difference_check
+from .gradients import FD_TOL, finite_difference_check
 from .lattice import LatticeConfig, get_lattice
-from .objective import SampleSet, compute_D_exact
+from .objective import ENUMERATION_GUARD, SampleSet, compute_D_exact
 from .schema import check_field_types, config_hash, field_types
 from .trainer import (
     SEED_POLICIES,
@@ -60,8 +63,7 @@ EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
 EXIT_CONFIG = 2
 EXIT_IO = 3
-
-CHANNELS = ("a1", "a2")
+EXIT_INTERRUPTED = 130  # 128 + SIGINT, as a shell reports it
 # The settings stored in a checkpoint that a resumed run may change: how long
 # it runs and how it steps, not what the model is.  A run's other [run]
 # settings are not stored in a checkpoint, so a resume may change them too.
@@ -80,7 +82,6 @@ class RunConfig:
     checkpoint_every  periodic checkpoint cadence; 0 disables them
     seed_policy       one of SEED_POLICIES
     heldout_size      vectors in the frozen held-out batch
-    channel           dominance channel of the graymap for 2D runs
     """
 
     lattice: LatticeConfig
@@ -89,14 +90,12 @@ class RunConfig:
     checkpoint_every: int = 0
     seed_policy: str = "fresh"
     heldout_size: int = 64
-    channel: str = "a1"
 
     def __post_init__(self):
         check_field_types(self)
-        for key, allowed in (("seed_policy", SEED_POLICIES), ("channel", CHANNELS)):
-            value = getattr(self, key)
-            if value not in allowed:
-                raise ValueError(f"run.{key} must be {' or '.join(map(repr, allowed))}, got {value!r}")
+        if self.seed_policy not in SEED_POLICIES:
+            raise ValueError(f"run.seed_policy must be {' or '.join(map(repr, SEED_POLICIES))}, "
+                             f"got {self.seed_policy!r}")
         if self.report_every < 0 or self.checkpoint_every < 0 or self.heldout_size < 1:
             raise ValueError("report_every/checkpoint_every must be >= 0 and heldout_size >= 1")
 
@@ -116,6 +115,8 @@ GRADCHECK_DEFAULTS = RunConfig(
 )
 
 GRADCHECK_MAX_NODES = 16
+# M values in one `pmdnet phase` grid; 116 000 took ~4 s per n value.
+PHASE_MAX_POINTS = 100_000
 
 
 # Config file section -> key -> declared type.  Each dataclass field of
@@ -126,7 +127,7 @@ SECTIONS["run"] = {name: typ for name, typ in _RUN_FIELDS.items() if name not in
 
 
 def _read_config_file(path: str) -> dict[str, dict[str, str]]:
-    cp = configparser.ConfigParser(interpolation=None)
+    cp = configparser.ConfigParser(interpolation=None, inline_comment_prefixes=("#", ";"))
     cp.optionxform = str  # keys are case-sensitive
     with open(path, "r", encoding="utf-8") as fh:
         try:
@@ -247,7 +248,7 @@ def cmd_train(args) -> int:
     merged = merge_config(file_dict, args.override, args.seed)
     # the shorthand flags go through the merged config, so they are
     # validated and hashed like the [run] keys they set
-    for key in ("report_every", "checkpoint_every", "channel"):
+    for key in ("report_every", "checkpoint_every"):
         if getattr(args, key) is not None:
             merged[f"run.{key}"] = str(getattr(args, key))
     rc = build_run_config(merged)
@@ -304,9 +305,9 @@ def cmd_train(args) -> int:
         _write_csv(os.path.join(out_dir, "dominance.csv"), cfg_hash,
                    ["node_index", "a1", "a2"], rows)
         if state.lattice_cfg.node_dims[0] > 1:
-            channel = prof.a1 if rc.channel == "a1" else prof.a2
-            _write_pgm(os.path.join(out_dir, f"dominance_{rc.channel}.pgm"),
-                       channel.reshape(state.lattice_cfg.node_dims))
+            for name, values in (("a1", prof.a1), ("a2", prof.a2)):
+                _write_pgm(os.path.join(out_dir, f"dominance_{name}.pgm"),
+                           values.reshape(state.lattice_cfg.node_dims))
     checkpoint_save(state, os.path.join(out_dir, "checkpoint_final.ckpt"))
     print(f"finished at step {state.step}; outputs in {out_dir} (config {cfg_hash})")
     return EXIT_OK
@@ -335,10 +336,10 @@ def cmd_gradcheck(args) -> int:
     report = finite_difference_check(
         samples, lattice, params, float(rc.training.n), corrupt_first_component=args.corrupt)
     print(report.format_text())
-    if report.passed(1e-5):
-        print(f"PASS max relative error {report.max_rel_error:.3e} <= 1e-05")
+    if report.passed(FD_TOL):
+        print(f"PASS max relative error {report.max_rel_error:.3e} <= {FD_TOL:g}")
         return EXIT_OK
-    print(f"FAIL max relative error {report.max_rel_error:.3e} > 1e-05")
+    print(f"FAIL max relative error {report.max_rel_error:.3e} > {FD_TOL:g}")
     return EXIT_CHECK_FAILED
 
 
@@ -347,9 +348,6 @@ def _parse_n_list(text: str) -> list[float]:
     for token in text.split(","):
         token = token.strip()
         if not token:
-            continue
-        if token in ("inf", "infinity"):
-            values.append(math.inf)
             continue
         try:
             values.append(float(token))
@@ -361,13 +359,20 @@ def _parse_n_list(text: str) -> list[float]:
 
 
 def cmd_phase(args) -> int:
+    for flag, value in (("--m-min", args.m_min), ("--m-max", args.m_max), ("--m-step", args.m_step)):
+        if not math.isfinite(value):
+            raise ConfigError(f"{flag} must be finite, got {value}")
     if args.m_min < 2 or args.m_max <= args.m_min or args.m_step <= 0:
         raise ConfigError("need 2 <= m-min < m-max and m-step > 0")
+    stop = args.m_max + 0.5 * args.m_step
+    if (stop - args.m_min) / args.m_step > PHASE_MAX_POINTS:  # the length np.arange takes
+        raise ConfigError(f"--m-step {args.m_step:g} gives more than {PHASE_MAX_POINTS} M values "
+                          f"from --m-min to --m-max")
     n_values = _parse_n_list(args.n_list)
     cfg_hash = config_hash({"m_min": args.m_min, "m_max": args.m_max, "m_step": args.m_step,
                             "n_list": n_values})
     os.makedirs(args.out_dir, exist_ok=True)
-    m_values = np.arange(args.m_min, args.m_max + 0.5 * args.m_step, args.m_step)
+    m_values = np.arange(args.m_min, stop, args.m_step)
 
     for n in n_values:
         label = "inf" if math.isinf(n) else f"{n:g}"
@@ -389,7 +394,7 @@ def cmd_bound_oracle(args) -> int:
     m, n, count = args.nodes, args.firings, args.samples
     if m < 1 or n < 1 or count < 1 or args.dim < 1:
         raise ConfigError("nodes, firings, samples and dim must all be >= 1")
-    if m ** n > 1_000_000:
+    if m ** n > ENUMERATION_GUARD:
         raise ConfigError(f"tuple space M^n = {m}^{n} exceeds the 1e6 enumeration guard")
     rng = np.random.default_rng([args.seed, 5])
     samples = SampleSet(vectors=rng.uniform(-1.0, 1.0, size=(count, args.dim)))
@@ -421,8 +426,6 @@ def build_parser() -> argparse.ArgumentParser:
     train.add_argument("--resume", help="checkpoint file to continue from")
     train.add_argument("--report-every", type=int, default=None)
     train.add_argument("--checkpoint-every", type=int, default=None)
-    train.add_argument("--channel", choices=CHANNELS, default=None,
-                       help="dominance channel for the 2D graymap export")
     train.add_argument("--override", action="append", default=[],
                        metavar="SECTION.KEY=VALUE")
     train.set_defaults(func=cmd_train)
@@ -459,6 +462,9 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
+    except KeyboardInterrupt:
+        print("error: interrupted", file=sys.stderr)
+        return EXIT_INTERRUPTED
     except TrainingDivergedError as exc:
         print(f"error: training diverged: {exc}", file=sys.stderr)
         return EXIT_CHECK_FAILED

@@ -76,7 +76,7 @@ def compose_1d(cfg: LatticeConfig, kappa: float, phases: tuple[float, ...], nois
     u's subspace) + noise[u].  Exposed for exact-value tests."""
     d1, d2 = cfg.input_dims
     u = np.arange(d2, dtype=float)
-    phase = np.array([phases[int(i % len(phases))] for i in range(d2)])
+    phase = np.asarray(phases)[np.arange(d2) % len(phases)]
     vals = np.sin(kappa * u + phase) + noise
     return vals.reshape(d1, d2)
 

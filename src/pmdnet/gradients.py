@@ -155,7 +155,6 @@ class FDEntry:
 @dataclass
 class FDReport:
     entries: list[FDEntry] = field(default_factory=list)
-    step: float = 1e-5
 
     @property
     def max_rel_error(self) -> float:
@@ -208,7 +207,7 @@ def finite_difference_check(
         analytic["ref"].flat[0] = analytic["ref"].flat[0] * 1.1 + 1e-3
 
     arrays = {"bias": params.biases, "weight": params.weights, "ref": params.ref_vectors}
-    report = FDReport(step=step)
+    report = FDReport()
     for kind, arr in arrays.items():
         flat = arr.reshape(-1)
         width = arr.shape[1] if arr.ndim == 2 else 1

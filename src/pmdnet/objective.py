@@ -59,7 +59,6 @@ class BoundValue:
 
     d1: float
     d2: float
-    n: float
 
     @property
     def total(self) -> float:
@@ -119,7 +118,7 @@ def bound_from_posterior(
     d1 = (2.0 / n) * float((post * diff_sq).sum(axis=1).mean())
     resid = x - post @ ref
     d2 = (2.0 * (n - 1.0) / n) * float((resid**2).sum(axis=1).mean())
-    return BoundValue(d1=d1, d2=d2, n=n)
+    return BoundValue(d1=d1, d2=d2)
 
 
 @dataclass
@@ -180,7 +179,7 @@ def compute_D1_D2(samples: SampleSet, lattice: Lattice, params: NodeParams, n: f
     s = samples.size
     d1 = 2.0 / (n * m) * d1_acc / s
     d2 = 2.0 * (n - 1.0) / (n * m * m) * d2_acc / s
-    return BoundValue(d1=d1, d2=d2, n=n)
+    return BoundValue(d1=d1, d2=d2)
 
 
 def _tuple_probs(row: np.ndarray, n: int) -> np.ndarray:

@@ -32,7 +32,6 @@ from .gradients import GradientSet, build_state, gradient_set_from_states
 from .lattice import Lattice, LatticeConfig, get_lattice
 from .objective import SampleSet, compute_D1_D2
 
-PARAM_TYPES = ("bias", "weight", "ref")
 DIAMETER_FLOOR = 1.0
 GRAD_MEAN_EPS = 1e-12
 
@@ -136,7 +135,7 @@ def _spread(values: np.ndarray) -> float:
 
 
 def _paired(params: NodeParams, grads: GradientSet):
-    """(values, gradient) of each parameter type, ordered as PARAM_TYPES."""
+    """(values, gradient) of each parameter type, ordered bias, weight, ref."""
     return ((params.biases, grads.bias_total), (params.weights, grads.weight_total),
             (params.ref_vectors, grads.ref_total))
 
@@ -146,7 +145,7 @@ def adapt_rates(params: NodeParams, grads: GradientSet, epsilon: float) -> tuple
 
     By construction the mean absolute applied change of type t is then
     epsilon * spread_t whenever the mean gradient magnitude is nonzero.
-    Returns (rates, spreads) ordered as PARAM_TYPES.
+    Returns (rates, spreads) ordered bias, weight, ref.
     """
     rates = np.zeros(3)
     diameters = np.zeros(3)

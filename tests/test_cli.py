@@ -2,12 +2,15 @@
 
 import dataclasses
 import math
+import pathlib
 
 import numpy as np
 import pytest
 
+from pmdnet import cli
 from pmdnet.cli import (
     DEFAULTS,
+    SECTIONS,
     ConfigError,
     build_run_config,
     config_hash,
@@ -61,17 +64,20 @@ def csv_hash(path):
     return path.read_text().splitlines()[0]
 
 
+README = pathlib.Path(__file__).resolve().parent.parent / "README.md"
+
+
 def test_merge_config_defaults_and_overrides():
     rc = build_run_config(merge_config(None, [], None))
     assert rc == DEFAULTS
     assert rc.lattice.node_dims == (1, 100)
     assert rc.training.kappa == 0.3
 
-    merged = merge_config({"training": {"kappa": "0.5"}}, ["run.channel=a2"], 7)
-    assert merged == {"training.kappa": "0.5", "run.channel": "a2", "training.seed": "7"}
+    merged = merge_config({"training": {"kappa": "0.5"}}, ["run.report_every=5"], 7)
+    assert merged == {"training.kappa": "0.5", "run.report_every": "5", "training.seed": "7"}
     rc = build_run_config(merged)
     assert rc.training.kappa == 0.5
-    assert rc.channel == "a2"
+    assert rc.report_every == 5
     assert rc.training.seed == 7
     # defaults are not mutated in place
     assert DEFAULTS.training.kappa == 0.3
@@ -431,9 +437,9 @@ def test_run_flags_are_validated_and_hashed(tmp_path, capsys):
         assert main(["train", "--config", str(ini), "--out-dir", str(tmp_path / name), *extra]) == 0
         return csv_hash(tmp_path / name / "objective_trace.csv")
 
-    flag = trace_hash("flag", "--report-every", "5", "--checkpoint-every", "7", "--channel", "a2")
+    flag = trace_hash("flag", "--report-every", "5", "--checkpoint-every", "7")
     override = trace_hash("override", "--override", "run.report_every=5",
-                          "--override", "run.checkpoint_every=7", "--override", "run.channel=a2")
+                          "--override", "run.checkpoint_every=7")
     assert flag == override != trace_hash("default")
     capsys.readouterr()
     for bad in (["--report-every", "-1"], ["--checkpoint-every", "-1"]):
@@ -510,12 +516,68 @@ def test_train_2d_writes_graymap(tmp_path, capsys):
     out = tmp_path / "out2d"
     assert main(["train", "--config", str(ini), "--out-dir", str(out)]) == 0
     capsys.readouterr()
-    blob = (out / "dominance_a1.pgm").read_bytes()
-    assert blob.startswith(b"P5\n4 3\n255\n")
-    assert len(blob) == len(b"P5\n4 3\n255\n") + 12
+    for name in ("dominance_a1.pgm", "dominance_a2.pgm"):
+        blob = (out / name).read_bytes()
+        assert blob.startswith(b"P5\n4 3\n255\n")
+        assert len(blob) == len(b"P5\n4 3\n255\n") + 12
 
-    out2 = tmp_path / "out2d_a2"
-    assert main(["train", "--config", str(ini), "--out-dir", str(out2),
-                 "--channel", "a2"]) == 0
+
+def test_readme_config_example_is_the_defaults(tmp_path):
+    example = README.read_text(encoding="utf-8").split("```ini\n", 1)[1].split("```", 1)[0]
+    path = tmp_path / "readme.ini"
+    path.write_text(example)
+    assert load_run_config(str(path), [], None) == DEFAULTS
+    # it documents every setting and no other
+    documented = cli._read_config_file(str(path))
+    assert {section: set(items) for section, items in documented.items()} == {
+        section: set(keys) for section, keys in SECTIONS.items()}
+
+
+def test_channel_setting_is_gone(tmp_path, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["train", "--channel", "a2", "--out-dir", str(tmp_path)])
+    assert exc.value.code == 2
     capsys.readouterr()
-    assert (out2 / "dominance_a2.pgm").exists()
+    assert main(["train", "--override", "run.channel=a2", "--out-dir", str(tmp_path)]) == 2
+    assert capsys.readouterr().err.splitlines() == ["error: unknown override target run.channel"]
+    ini = tmp_path / "old.ini"
+    ini.write_text("[run]\nchannel = a1\n")
+    assert main(["train", "--config", str(ini), "--out-dir", str(tmp_path)]) == 2
+    assert capsys.readouterr().err.splitlines() == ["error: unknown key 'channel' in section [run]"]
+
+
+@pytest.mark.parametrize("argv, flag", [
+    (["--m-step", "1e-12"], "--m-step"),
+    (["--m-step", "inf"], "--m-step"),
+    (["--m-max", "inf"], "--m-max"),
+    (["--m-max", "nan"], "--m-max"),
+    (["--m-min", "nan"], "--m-min"),
+    (["--m-min=-inf"], "--m-min"),
+])
+def test_phase_refuses_bad_grids(tmp_path, capsys, argv, flag):
+    assert main(["phase", "--out-dir", str(tmp_path), *argv]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ") and flag in err[0]
+
+
+def test_phase_point_limit_is_the_grid_length(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(cli, "PHASE_MAX_POINTS", 5)
+    grid = ["phase", "--out-dir", str(tmp_path), "--m-min", "2", "--m-step", "1", "--n-list", "1"]
+    assert main(grid + ["--m-max", "6"]) == 0  # M = 2, 3, 4, 5, 6
+    assert len(read_csv(tmp_path / "values_n1.csv")[1]) == 5
+    assert main(grid + ["--m-max", "7"]) == 2
+    assert capsys.readouterr().err.splitlines() == [
+        "error: --m-step 1 gives more than 5 M values from --m-min to --m-max"]
+
+
+def test_interrupt_exits_130_with_one_line(tmp_path, capsys, monkeypatch):
+    def interrupted(state, updates, on_step=None):
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(cli, "run_training", interrupted)
+    out = tmp_path / "out"
+    assert main(["train", "--config", str(write_tiny(tmp_path)), "--out-dir", str(out)]) == 130
+    assert cli.EXIT_INTERRUPTED == 130
+    assert capsys.readouterr().err.splitlines() == ["error: interrupted"]
+    # the rows recorded before the interrupt are kept
+    assert [row[0] for row in read_csv(out / "objective_trace.csv")[1]] == ["0"]

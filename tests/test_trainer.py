@@ -402,7 +402,7 @@ def test_checkpoint_header_follows_config_fields(tmp_path, capsys):
     # a checkpoint's header sections and the [run] settings rebuild the
     # hash that the run's CSVs carry
     run = {"report_every": 100, "checkpoint_every": 0, "seed_policy": header["seed_policy"],
-           "heldout_size": 64, "channel": "a1"}
+           "heldout_size": 64}
     rebuilt = config_hash({"lattice": header["lattice"], "training": header["training"], **run})
     for fname in ("objective_trace.csv", "dominance.csv"):
         assert (out / fname).read_text().splitlines()[0] == f"# config_hash={rebuilt}"
