@@ -56,7 +56,8 @@ def stable_sigmoid(z):
     z = np.asarray(z, dtype=float)
     # exp(-|z|) <= 1 is exp(-z) on z >= 0 and exp(z) below it
     e = np.exp(-np.abs(z))
-    out = np.where(z >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
+    d = 1.0 + e
+    out = np.where(z >= 0, 1.0 / d, e / d)
     return out if out.ndim else float(out)
 
 
@@ -69,8 +70,8 @@ def activities(x: np.ndarray, lattice: Lattice, params: NodeParams) -> np.ndarra
 
 def window_denominators(q: np.ndarray, lattice: Lattice) -> np.ndarray:
     """Per-neighbourhood activity totals: denom[y'] = sum over N(y') of Q."""
-    denom = lattice.nbr_sum(np.asarray(q, dtype=float))
-    if np.any(denom <= 0.0):
+    denom = lattice.nbr.matvec(q)
+    if (denom <= 0.0).any():
         dead = int(np.argmin(denom))
         raise DegenerateActivityError(f"neighbourhood of node {lattice.coords(dead)} has zero activity")
     return denom
@@ -90,7 +91,7 @@ def localized_posterior_rows(q: np.ndarray, lattice: Lattice):
     P[y', y] = Pr(y|x; y') on row support N(y').  Rows sum to 1."""
     from scipy import sparse
 
-    layout = lattice.nbr_sum
+    layout = lattice.nbr
     return sparse.csr_array(
         (localized_posterior_entries(q, lattice), layout.indices, layout.indptr), shape=layout.shape
     )
@@ -103,5 +104,6 @@ def pmd_posterior(q: np.ndarray, lattice: Lattice) -> np.ndarray:
     Pr(y|x; y').  Sums to 1 exactly because each localized posterior
     contributes total mass 1 and there are M of them.
     """
-    return lattice.nbr_col_sum(localized_posterior_entries(q, lattice)) / lattice.num_nodes
+    post = localized_posterior_entries(q, lattice)
+    return lattice.nbr.rmatvec(lattice.ones, post) / lattice.num_nodes
 

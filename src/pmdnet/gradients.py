@@ -6,10 +6,11 @@ the coherent residual dbar) and adds the leakage-smoothed per-node
 quantities that the derivative formulas need.  gradient_set_from_states
 turns each state straight into the three totals the trainer and the
 finite-difference check read, and averages them over samples.  Every
-function here reads the leakage from the Lattice it is given.  The
-neighbourhood sums (P v, P^T u) and L are the lattice's SumOperators, each
-a single pass over the truncated windows; the quadruple-sum expansions
-exist only in the test suite as an independent oracle.
+function here reads the leakage from the Lattice it is given.  P v, P^T u
+and L v are each one kernel call on the lattice's fixed layouts (P is the
+neighbourhood layout with the sample's posterior entries), a single pass
+over the truncated windows; the quadruple-sum expansions exist only in the
+test suite as an independent oracle.
 
 Derivatives (empirical average over samples, windowed):
 
@@ -66,8 +67,7 @@ class ActivationState(Forward):
 
 def _ptp(post: np.ndarray, lattice: Lattice, v: np.ndarray) -> np.ndarray:
     """P^T P v for P given by its entries in the neighbourhood layout."""
-    pv = lattice.nbr_row_sum(post * v[lattice.nbr_indices])
-    return lattice.nbr_col_sum(post * pv[lattice.nbr_rows])
+    return lattice.nbr.rmatvec(lattice.nbr.matvec(v, post), post)
 
 
 def build_state(x: np.ndarray, lattice: Lattice, params: NodeParams) -> ActivationState:
@@ -122,8 +122,9 @@ def gradient_set_from_states(states, lattice: Lattice, n: float) -> GradientSet:
         count += 1
     if totals is None:
         raise ValueError("gradients need at least one sample")
-    for total in totals:
-        total /= count
+    if count > 1:  # x / 1 is exact, and skipping it saves a pass per total
+        for total in totals:
+            total /= count
     return GradientSet(*totals)
 
 

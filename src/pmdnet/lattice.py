@@ -11,10 +11,12 @@ m1 = 1).  Every node owns three rectangular top-hat windows:
 
 All boundaries are non-periodic.
 
-Every fixed sparse map on the lattice is a SumOperator, laid out once per
-Lattice: the neighbourhood window sums, the row and column sums of the
-partitioned posterior, the window-cell sums into input space, and the
-leakage L and its transpose.
+Every sparse product on the lattice runs on one of three fixed CSR layouts,
+built once per Lattice and frozen: the neighbourhood layout N (M x M), the
+window layout W (M x D) and the leakage L (M x M, with its weights).  A
+layout applies A v and A^T u in one kernel call each, with its stored
+entries or with entries passed in per call (the posterior P is N with the
+entries of one input).
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.sparse import _sparsetools  # private: the kernel behind scipy's own CSR products
+from scipy.sparse import _sparsetools  # private: the kernels behind scipy's own sparse products
 
 from .schema import check_field_types
 
@@ -131,101 +133,109 @@ def _window_csr(node_dims, window) -> tuple[np.ndarray, np.ndarray]:
     return indptr.astype(np.int64), indices.astype(np.int64)
 
 
-class SumOperator:
-    """A fixed sparse map laid out once: S(v)[t] is the sum of
-    weights[j] * v[columns[j]] over every entry j with targets[j] == t.
+def _freeze(*arrays: np.ndarray) -> None:
+    """Make shared geometry read-only: a Lattice is cached and handed to
+    every caller, and the kernels index with these arrays unchecked."""
+    for arr in arrays:
+        arr.flags.writeable = False
 
-    By default columns[j] = j and weights[j] = 1, so S adds one value per
-    entry into the entry's target; columns come with width, the length of
-    v.  S is
-    the CSR matrix (shape, indptr, indices, data) whose rows list their
-    entries in stable order of target.  A CSR product adds a row's terms in
-    stored order starting from 0, so the default S(w) is bit-identical to
-    np.bincount(targets, w, size), which adds in the same order, but reads
-    a prebuilt layout where bincount scatters by index on every call.  S(v)
-    calls scipy's CSR kernel directly, because the operator dispatch of a
-    scipy matrix @ v costs about 4 us a call, more than the sum itself on
-    small lattices.
+
+class CSRLayout:
+    """A fixed sparse matrix A laid out once as CSR (shape, indptr,
+    indices[, data]).
+
+    matvec(v) is A v and rmatvec(u) is A^T u, each one call of the kernel
+    behind scipy's own products, with A's entries taken from data when it is
+    passed and from the stored data otherwise.  rmatvec runs the CSC kernel
+    on the same three arrays, since they are A^T in CSC form: it adds each
+    output's terms in increasing entry order starting from 0, the order of
+    np.bincount over the column indices and of scipy's A.T @ u.  The kernels
+    are called directly, because the operator dispatch of a scipy matrix
+    costs about 4 us a call, more than the sum itself on small lattices.
     """
 
-    def __init__(self, targets: np.ndarray, size: int, columns: np.ndarray | None = None,
-                 weights: np.ndarray | None = None, width: int | None = None):
-        order = np.argsort(targets, kind="stable")
-        width = len(targets) if columns is None else width
+    def __init__(self, shape: tuple[int, int], indptr: np.ndarray, indices: np.ndarray,
+                 data: np.ndarray | None = None):
         # 32-bit indices when they fit: smaller, and the product runs faster
-        index = np.int32 if max(len(targets), width) <= np.iinfo(np.int32).max else np.int64
-        self.shape = (size, width)
-        self.indptr = np.concatenate([[0], np.cumsum(np.bincount(targets, minlength=size))]).astype(index)
-        self.indices = (order if columns is None else columns[order]).astype(index)
-        self.data = np.ones(len(targets)) if weights is None else weights[order]
+        index = np.int32 if max(shape[1], len(indices)) <= np.iinfo(np.int32).max else np.int64
+        self.shape = shape
+        self.indptr = indptr.astype(index)
+        self.indices = indices.astype(index)
+        self.data = None if data is None else data.astype(float)
+        _freeze(*(a for a in (self.indptr, self.indices, self.data) if a is not None))
 
-    def __call__(self, v: np.ndarray) -> np.ndarray:
-        # the kernel converts v to contiguous float64 but reads it without
-        # bounds checks
+    def _entries(self, data: np.ndarray | None) -> np.ndarray:
+        data = self.data if data is None else data
+        # the kernels convert their inputs to contiguous float64 but read
+        # them without bounds checks
+        if data is None or data.shape != self.indices.shape:
+            raise ValueError(f"expected {len(self.indices)} entries")
+        return data
+
+    def matvec(self, v: np.ndarray, data: np.ndarray | None = None) -> np.ndarray:
+        """A v."""
         if v.shape != self.shape[1:]:
             raise ValueError(f"expected {self.shape[1]} values, got shape {v.shape}")
         out = np.zeros(self.shape[0])
-        _sparsetools.csr_matvec(*self.shape, self.indptr, self.indices, self.data, v, out)
+        _sparsetools.csr_matvec(*self.shape, self.indptr, self.indices, self._entries(data), v, out)
+        return out
+
+    def rmatvec(self, u: np.ndarray, data: np.ndarray | None = None) -> np.ndarray:
+        """A^T u."""
+        if u.shape != self.shape[:1]:
+            raise ValueError(f"expected {self.shape[0]} values, got shape {u.shape}")
+        out = np.zeros(self.shape[1])
+        _sparsetools.csc_matvec(self.shape[1], self.shape[0], self.indptr, self.indices,
+                                self._entries(data), u, out)
         return out
 
 
-@dataclass(frozen=True)
-class LeakageMatrix:
-    """Row-stochastic leakage L[y, y'] = Pr(y' | y).
+class LeakageMatrix(CSRLayout):
+    """Row-stochastic leakage L[y, y'] = Pr(y' | y), with its weights stored.
 
     Rows are uniform over the truncated leakage window around y and
-    renormalised to sum to 1.  L and L^T are two SumOperators over the same
-    entries (y, y'), with target and column swapped.  L^T lists each row's
-    entries in increasing y', the order in which the CSC product L.T @ v
-    adds them too.
+    renormalised to sum to 1.
     """
-
-    op: SumOperator            # L
-    transpose_op: SumOperator  # L^T
 
     def apply(self, v: np.ndarray) -> np.ndarray:
         """(L v)_y = sum_y' L[y, y'] v[y']."""
-        return self.op(v)
+        return self.matvec(v)
 
     def apply_transpose(self, v: np.ndarray) -> np.ndarray:
         """(L^T v)_y = sum_y' L[y', y] v[y']."""
-        return self.transpose_op(v)
+        return self.rmatvec(v)
 
 
 def build_leakage(cfg: LatticeConfig) -> LeakageMatrix:
     """Uniform top-hat leakage rows, truncated at edges and renormalised."""
     indptr, indices = _window_csr(cfg.node_dims, cfg.leakage_window)
     m, counts = cfg.num_nodes, np.diff(indptr)
-    rows = np.repeat(np.arange(m), counts)
-    data = np.repeat(1.0 / counts, counts)
-    return LeakageMatrix(op=SumOperator(rows, m, columns=indices, weights=data, width=m),
-                         transpose_op=SumOperator(indices, m, columns=rows, weights=data, width=m))
+    return LeakageMatrix((m, m), indptr, indices, np.repeat(1.0 / counts, counts))
 
 
 class Lattice:
     """Precomputed geometry used by the hot paths.
 
-    Everything here is immutable after construction and derived from the
-    functional definitions above; tests cross-check both routes.
+    Everything here is derived from the functional definitions above (tests
+    cross-check both routes) and every array is read-only after
+    construction.
 
     Attributes:
         cfg          the LatticeConfig
         num_nodes    M
+        nbr          the neighbourhood layout N, M x M with stored ones: row
+                     y' lists N(y') in row-major order, so nbr.matvec(q)
+                     holds the window sums and N with the posterior entries
+                     as data is P[y', y] = Pr(y|x; y')
         nbr_indices, nbr_rows
-                     the column y and the row y' of every entry of the
-                     neighbourhood layout: row y' lists N(y') in row-major
-                     order
-        nbr_sum      SumOperator of the window sums over that layout,
-                     nbr_sum(v)[y'] = sum over N(y') of v; its (indptr,
-                     indices) is the layout in CSR form
+                     the column y and the row y' of every entry of N
+        ones         (M,) ones, so nbr.rmatvec(ones, post) is P^T 1
         win_idx      (M, K) flat indices of each node's input window,
                      K = i1 * i2
-        nbr_row_sum, nbr_col_sum
-                     SumOperator adding a value per neighbourhood entry
-                     into its row y' or its column y (P v, P^T u, p)
-        win_cell_sum SumOperator adding a value per window cell (the
-                     flattened (M, K) layout) into its input cell
-        leakage      the LeakageMatrix for cfg, L and L^T as SumOperators
+        win          the window layout W, M x D: row y lists the cells of
+                     y's input window, so win.rmatvec(u, d) adds u_y d_y,
+                     over windowed (M, K) entries d, into input space
+        leakage      the LeakageMatrix for cfg
     """
 
     def __init__(self, cfg: LatticeConfig):
@@ -234,7 +244,8 @@ class Lattice:
         m1, m2 = cfg.node_dims
         nbr_indptr, self.nbr_indices = _window_csr(cfg.node_dims, cfg.neighbourhood_window)
         self.nbr_rows = np.repeat(np.arange(m), np.diff(nbr_indptr))
-        self.nbr_sum = SumOperator(self.nbr_rows, m, columns=self.nbr_indices, width=m)
+        self.nbr = CSRLayout((m, m), nbr_indptr, self.nbr_indices, np.ones(len(self.nbr_indices)))
+        self.ones = np.ones(m)
 
         i1, i2 = cfg.input_window
         d1, d2 = cfg.input_dims
@@ -244,11 +255,10 @@ class Lattice:
         u2 = y2[:, None, None] + np.arange(i2)[None, None, :]
         self.win_idx = (u1 * d2 + u2).reshape(m, i1 * i2)
         assert self.win_idx.min() >= 0 and self.win_idx.max() < d1 * d2
-
-        self.nbr_row_sum = SumOperator(self.nbr_rows, m)
-        self.nbr_col_sum = SumOperator(self.nbr_indices, m)
-        self.win_cell_sum = SumOperator(self.win_idx.reshape(-1), d1 * d2)
+        k = self.win_idx.shape[1]
+        self.win = CSRLayout((m, d1 * d2), np.arange(0, m * k + 1, k), self.win_idx.reshape(-1))
         self.leakage = build_leakage(cfg)
+        _freeze(self.nbr_indices, self.nbr_rows, self.ones, self.win_idx)
 
     @property
     def window_len(self) -> int:
@@ -269,12 +279,16 @@ class Lattice:
 
     def gather(self, x: np.ndarray) -> np.ndarray:
         """Windowed view of one input vector: (M, K) array of x restricted
-        to each node's input window."""
+        to each node's input window.  Every pass over an input starts here,
+        so a NaN or inf in x is refused as bad input before it can surface
+        as a non-finite activity or gradient."""
         flat = np.asarray(x, dtype=float).reshape(-1)
         if flat.shape[0] != self.input_size:
             raise ValueError(
                 f"input length {flat.shape[0]} does not match input_dims {self.cfg.input_dims}"
             )
+        if not np.isfinite(flat).all():
+            raise ValueError("input vector must be finite")
         return flat[self.win_idx]
 
     def scatter_rows(self, rows: np.ndarray) -> np.ndarray:
@@ -288,5 +302,6 @@ class Lattice:
 
 @lru_cache(maxsize=32)
 def get_lattice(cfg: LatticeConfig) -> Lattice:
-    """Cached Lattice for a config; configs are frozen so this is safe."""
+    """The one cached Lattice for a config, shared by every caller; the
+    config is frozen and so are the Lattice's arrays."""
     return Lattice(cfg)

@@ -152,11 +152,11 @@ def forward(x: np.ndarray, lattice: Lattice, params: NodeParams) -> Forward:
     xw = lattice.gather(x)
     q = stable_sigmoid(np.einsum("ij,ij->i", params.weights, xw) + params.biases)
     post = localized_posterior_entries(q, lattice)
-    p = lattice.nbr_col_sum(post)
+    p = lattice.nbr.rmatvec(lattice.ones, post)
     rho = lattice.leakage.apply_transpose(p)
     d_win = xw - params.ref_vectors
     e = (d_win**2).sum(axis=1)
-    dbar = lattice.win_cell_sum((rho[:, None] * d_win).reshape(-1))
+    dbar = lattice.win.rmatvec(rho, d_win.reshape(-1))
     return Forward(x_windows=xw, q=q, post=post, p=p, rho=rho, d_win=d_win, e=e, dbar=dbar)
 
 

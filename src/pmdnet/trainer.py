@@ -131,7 +131,9 @@ def _spread(values: np.ndarray) -> float:
     updates.  With the floor the mean step is at least epsilon per update
     until the parameters genuinely occupy a region wider than 1.
     """
-    return max(float(values.max() - values.min()), DIAMETER_FLOOR)
+    # the ufunc reductions skip the Python wrappers of .max() and .min()
+    spread = np.maximum.reduce(values, axis=None) - np.minimum.reduce(values, axis=None)
+    return max(float(spread), DIAMETER_FLOOR)
 
 
 def _paired(params: NodeParams, grads: GradientSet):
@@ -151,30 +153,44 @@ def adapt_rates(params: NodeParams, grads: GradientSet, epsilon: float) -> tuple
     diameters = np.zeros(3)
     for i, (values, grad) in enumerate(_paired(params, grads)):
         diameters[i] = _spread(values)
-        # a huge epsilon overflows to inf here; train_step reports that
         with np.errstate(over="ignore"):
-            rates[i] = epsilon * diameters[i] / (float(np.abs(grad).mean()) + GRAD_MEAN_EPS)
+            # np.abs(grad).mean() without its Python wrapper, bitwise
+            mean = float(np.add.reduce(np.abs(grad), axis=None)) / grad.size
+            # a huge epsilon overflows to inf here; train_step reports that
+            rates[i] = epsilon * diameters[i] / (mean + GRAD_MEAN_EPS)
     return rates, diameters
+
+
+def _gradients(state: TrainerState, x: np.ndarray) -> GradientSet:
+    lattice = state.lattice
+    return gradient_set_from_states([build_state(x, lattice, state.params)], lattice, float(state.tcfg.n))
+
+
+def _diverged(state: TrainerState, x: np.ndarray, what: str) -> TrainingDivergedError:
+    """The error of a failed step, naming the gradients when they are at
+    fault.  A non-finite gradient reaches the rates (NaN) or the new values
+    (inf times a zero rate), and the update is written over the gradients;
+    so they are built again, bitwise as before since the step committed
+    nothing, and tested here on the failure path only."""
+    if not _gradients(state, x).all_finite():
+        what = "gradient"
+    return TrainingDivergedError(f"non-finite {what} at step {state.step}")
 
 
 def train_step(state: TrainerState, x: np.ndarray) -> TrainerState:
     """One online update from one (already conditioned) training vector
     over the padded input array."""
-    lattice = state.lattice
-    sample_state = build_state(x, lattice, state.params)
-    grads = gradient_set_from_states([sample_state], lattice, float(state.tcfg.n))
-    if not grads.all_finite():
-        raise TrainingDivergedError(f"non-finite gradient at step {state.step}")
+    grads = _gradients(state, x)
     rates, diameters = adapt_rates(state.params, grads, state.tcfg.epsilon)
-    if not np.all(np.isfinite(rates)):
-        raise TrainingDivergedError(f"non-finite update rate at step {state.step}")
+    if not np.isfinite(rates).all():
+        raise _diverged(state, x, "update rate")
     # each new value is written over its gradient total, which this step
     # owns; an overflow is reported by the check below, not as a warning
     with np.errstate(over="ignore", invalid="ignore"):
         new = [np.subtract(values, np.multiply(rate, grad, out=grad), out=grad)
                for rate, (values, grad) in zip(rates, _paired(state.params, grads))]
-    if not all(np.all(np.isfinite(arr)) for arr in new):
-        raise TrainingDivergedError(f"non-finite parameter at step {state.step}")
+    if not all(np.isfinite(arr).all() for arr in new):
+        raise _diverged(state, x, "parameter")
     state.params.biases, state.params.weights, state.params.ref_vectors = new
     state.rates = rates
     state.diameters = diameters

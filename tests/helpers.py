@@ -14,12 +14,13 @@ from pmdnet.lattice import neighbourhood
 from pmdnet.objective import SampleSet
 
 
-def dense_operator(op) -> np.ndarray:
-    """A lattice.SumOperator as a dense matrix, read from its own CSR
-    arrays: the leakage L is dense_operator(lattice.leakage.op)."""
-    out = np.zeros(op.shape)
-    rows = np.repeat(np.arange(op.shape[0]), np.diff(op.indptr))
-    out[rows, op.indices] = op.data
+def dense_operator(layout, data=None) -> np.ndarray:
+    """A lattice.CSRLayout as a dense matrix, read from its own CSR arrays
+    with its stored entries or with data: the leakage L is
+    dense_operator(lattice.leakage)."""
+    out = np.zeros(layout.shape)
+    rows = np.repeat(np.arange(layout.shape[0]), np.diff(layout.indptr))
+    out[rows, layout.indices] = layout.data if data is None else data
     return out
 
 
@@ -32,7 +33,7 @@ def kernels(state):
 def nbr_row(lattice, y_flat: int) -> np.ndarray:
     """Flat indices of N(y) for node y_flat, read from the lattice's
     neighbourhood layout."""
-    indptr = lattice.nbr_sum.indptr
+    indptr = lattice.nbr.indptr
     return lattice.nbr_indices[indptr[y_flat]:indptr[y_flat + 1]]
 
 

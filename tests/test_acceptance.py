@@ -252,7 +252,7 @@ def test_criterion_8():
         st = build_state(x, lat, params)
         # second rendering: the column sums of P L d, with P and d built
         # here in full because the state keeps neither
-        leakage = dense_operator(lat.leakage.op)
+        leakage = dense_operator(lat.leakage)
         pld = localized_posterior_rows(st.q, lat) @ (leakage @ lat.scatter_rows(st.d_win))
         assert np.abs(st.dbar - pld.sum(axis=0)).max() <= 1e-12
 

@@ -157,7 +157,7 @@ def test_apply_leakage_delta_recovers_row():
     lk = build_leakage(cfg_1d(9, 3, l=5))
     delta = np.zeros(9)
     delta[3] = 1.0
-    assert np.allclose(lk.apply_transpose(delta), dense_operator(lk.op)[3], rtol=0, atol=1e-15)
+    assert np.allclose(lk.apply_transpose(delta), dense_operator(lk)[3], rtol=0, atol=1e-15)
 
 
 def test_apply_leakage_preserves_distribution():

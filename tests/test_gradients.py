@@ -36,7 +36,7 @@ def test_build_state_invariants():
         assert np.allclose(rows, 1.0, rtol=0, atol=1e-12)
         assert abs(st.p.sum() - lat.num_nodes) <= 1e-12 * lat.num_nodes
         d = lat.scatter_rows(st.d_win)
-        pld = localized_posterior_rows(st.q, lat) @ (dense_operator(lat.leakage.op) @ d)
+        pld = localized_posterior_rows(st.q, lat) @ (dense_operator(lat.leakage) @ d)
         assert np.allclose(st.dbar, pld.sum(axis=0), rtol=0, atol=1e-12)
         assert (st.e >= 0).all()
         # off-window components of the scattered residuals are zero

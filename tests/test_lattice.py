@@ -105,13 +105,13 @@ def test_exchange_identity_arbitrary_summand():
 def test_leakage_identity_window():
     cfg = LatticeConfig(node_dims=(1, 9), input_window=(1, 1),
                         neighbourhood_window=(1, 3), leakage_window=(1, 1))
-    dense = dense_operator(build_leakage(cfg).op)
+    dense = dense_operator(build_leakage(cfg))
     assert np.array_equal(dense, np.eye(9))
 
 
 def test_leakage_interior_uniform():
     lk = build_leakage(STRIPE_1D)
-    row = dense_operator(lk.op)[50]
+    row = dense_operator(lk)[50]
     nz = np.nonzero(row)[0]
     assert list(nz) == list(range(43, 58))
     assert np.allclose(row[nz], 1.0 / 15.0, rtol=0, atol=1e-15)
@@ -119,7 +119,7 @@ def test_leakage_interior_uniform():
 
 def test_leakage_edge_renormalized():
     lk = build_leakage(STRIPE_1D)
-    row = dense_operator(lk.op)[0]
+    row = dense_operator(lk)[0]
     nz = np.nonzero(row)[0]
     assert list(nz) == list(range(0, 8))
     assert np.allclose(row[nz], 1.0 / 8.0, rtol=0, atol=1e-15)
@@ -133,7 +133,7 @@ def test_leakage_rows_sum_to_one_many_configs():
         LatticeConfig((7, 1), (3, 1), (5, 1), (7, 1)),
     ]
     for cfg in configs:
-        dense = dense_operator(build_leakage(cfg).op)
+        dense = dense_operator(build_leakage(cfg))
         assert np.all(dense >= 0)
         assert np.max(np.abs(dense.sum(axis=1) - 1.0)) <= 1e-12
 
@@ -205,9 +205,30 @@ def truncated_geometries(draw):
         node_dims=(draw(st_.integers(1, 4)), draw(st_.integers(1, 6))),
         input_window=(_odd(draw, 1), _odd(draw, 2)),
         neighbourhood_window=(_odd(draw, 2), _odd(draw, 3)),
-        leakage_window=(1, 1),
+        leakage_window=(_odd(draw, 2), _odd(draw, 2)),
     )
     return cfg, draw(st_.integers(0, 2**32 - 1))
+
+
+def _wide(rng, shape):
+    # magnitudes over 26 decades, so any other order of addition would
+    # change the rounded sums
+    return rng.standard_normal(shape) * 10.0 ** rng.uniform(-13, 13, shape)
+
+
+def assert_layouts_equal_scipy_bitwise(lat, rng):
+    """matvec is scipy's CSR product A @ v and rmatvec its CSC product
+    A.T @ u, bit for bit, with the stored entries and with entries passed
+    per call.  The layouts call scipy's private kernels; a scipy release
+    that changes them must fail here rather than change results."""
+    for layout in (lat.nbr, lat.win, lat.leakage):
+        v, u = _wide(rng, layout.shape[1]), _wide(rng, layout.shape[0])
+        passed = _wide(rng, len(layout.indices))
+        cases = [(passed, passed)] + ([] if layout.data is None else [(None, layout.data)])
+        for data, entries in cases:
+            a = sparse.csr_array((entries, layout.indices, layout.indptr), shape=layout.shape)
+            assert layout.matvec(v, data).tobytes() == (a @ v).tobytes()
+            assert layout.rmatvec(u, data).tobytes() == (a.T @ u).tobytes()
 
 
 @settings(max_examples=60, deadline=None, derandomize=True)
@@ -216,14 +237,18 @@ def test_sum_operators_equal_bincount_bitwise(instance):
     cfg, seed = instance
     lat = Lattice(cfg)
     rng = np.random.default_rng(seed)
-    for op, targets, size in ((lat.nbr_row_sum, lat.nbr_rows, lat.num_nodes),
-                              (lat.nbr_col_sum, lat.nbr_indices, lat.num_nodes),
-                              (lat.win_cell_sum, lat.win_idx.reshape(-1), lat.input_size)):
-        # magnitudes over 26 decades, so any other order of addition
-        # would change the rounded sums
-        w = rng.standard_normal(len(targets)) * 10.0 ** rng.uniform(-13, 13, len(targets))
-        assert op.shape == (size, len(targets))
-        assert op(w).tobytes() == np.bincount(targets, weights=w, minlength=size).tobytes()
+    assert_layouts_equal_scipy_bitwise(lat, rng)
+    # the kernel calls equal the gathers and bincounts they replaced: P v,
+    # P^T u and P^T 1 for posterior entries post, and the coherent residual
+    # W^T rho with windowed residuals d
+    m, nbr_cols, nbr_rows = lat.num_nodes, lat.nbr_indices, lat.nbr_rows
+    post, v, u = _wide(rng, len(nbr_cols)), _wide(rng, m), _wide(rng, m)
+    assert lat.nbr.matvec(v, post).tobytes() == np.bincount(nbr_rows, post * v[nbr_cols], m).tobytes()
+    assert lat.nbr.rmatvec(u, post).tobytes() == np.bincount(nbr_cols, post * u[nbr_rows], m).tobytes()
+    assert lat.nbr.rmatvec(lat.ones, post).tobytes() == np.bincount(nbr_cols, post, m).tobytes()
+    rho, d = _wide(rng, m), _wide(rng, lat.win_idx.shape)
+    dbar = np.bincount(lat.win_idx.ravel(), weights=(rho[:, None] * d).ravel(), minlength=lat.input_size)
+    assert lat.win.rmatvec(rho, d.reshape(-1)).tobytes() == dbar.tobytes()
 
 
 @pytest.mark.parametrize("cfg", [
@@ -237,26 +262,53 @@ def test_sum_operators_equal_bincount_bitwise(instance):
                   neighbourhood_window=(3, 5), leakage_window=(5, 3)),
 ], ids=["stripe", "40x40", "1x8", "6x7"])
 def test_sum_operators_equal_scipy_product_bitwise(cfg):
-    # SumOperator calls scipy's private CSR kernel; a scipy release that
-    # changes that kernel must fail here rather than change results
     lat = get_lattice(cfg)
     rng = np.random.default_rng(0)
-    ops = (lat.nbr_sum, lat.nbr_row_sum, lat.nbr_col_sum, lat.win_cell_sum,
-           lat.leakage.op, lat.leakage.transpose_op)
-    for op in ops:
-        w = rng.standard_normal(op.shape[1]) * 10.0 ** rng.uniform(-13, 13, op.shape[1])
-        product = sparse.csr_array((op.data, op.indices, op.indptr), shape=op.shape) @ w
-        assert op(w).tobytes() == product.tobytes()
+    assert_layouts_equal_scipy_bitwise(lat, rng)
 
-    # the window sums, L and L^T against scipy matrices built here from the
-    # definitions, L^T as the CSC product L.T @ v
+    # the window sums, the input windows, L and L^T against scipy matrices
+    # built here from the definitions, L^T as the CSC product L.T @ v
     flat = {y: k for k, y in enumerate(node_list(cfg))}
     windows = np.zeros((lat.num_nodes, lat.num_nodes))
     for yp in node_list(cfg):
         for y in nbr(cfg, yp):
             windows[flat[yp], flat[y]] = 1.0
+    cells = np.zeros((lat.num_nodes, lat.input_size))
+    for y in node_list(cfg):
+        mask = np.zeros(cfg.input_dims)
+        mask[input_window(cfg, y)] = 1.0
+        cells[flat[y]] = mask.ravel()
     leak = sparse.csr_array(leakage_dense(cfg))
-    v = rng.standard_normal(lat.num_nodes) * 10.0 ** rng.uniform(-13, 13, lat.num_nodes)
-    assert lat.nbr_sum(v).tobytes() == (sparse.csr_array(windows) @ v).tobytes()
+    v = _wide(rng, lat.num_nodes)
+    assert lat.nbr.matvec(v).tobytes() == (sparse.csr_array(windows) @ v).tobytes()
+    assert np.array_equal(dense_operator(lat.win, np.ones(len(lat.win.indices))), cells)
     assert lat.leakage.apply(v).tobytes() == (leak @ v).tobytes()
     assert lat.leakage.apply_transpose(v).tobytes() == (leak.T @ v).tobytes()
+
+
+def test_shared_geometry_is_read_only():
+    # every caller gets the one cached Lattice, so a write to any of its
+    # arrays would change every later run in the process
+    lat = get_lattice(STRIPE_1D)
+    assert lat is get_lattice(STRIPE_1D)
+    arrays = [lat.win_idx, lat.nbr_indices, lat.nbr_rows, lat.ones]
+    for layout in (lat.nbr, lat.win, lat.leakage):
+        arrays += [a for a in (layout.indptr, layout.indices, layout.data) if a is not None]
+    assert len(arrays) == 4 + 3 + 2 + 3
+    for arr in arrays:
+        with pytest.raises(ValueError, match="read-only"):
+            arr[0] = arr[0]
+
+
+def test_layouts_refuse_wrong_sizes():
+    # the kernels read their inputs without bounds checks
+    lat = get_lattice(STRIPE_1D)
+    m = lat.num_nodes
+    with pytest.raises(ValueError, match="expected 100 values"):
+        lat.nbr.matvec(np.ones(m - 1))
+    with pytest.raises(ValueError, match="expected 100 values"):
+        lat.win.rmatvec(np.ones((m, 1)), np.ones(len(lat.win.indices)))
+    with pytest.raises(ValueError, match=f"expected {len(lat.nbr.indices)} entries"):
+        lat.nbr.rmatvec(lat.ones, np.ones(len(lat.nbr.indices) + 1))
+    with pytest.raises(ValueError, match="entries"):
+        lat.win.rmatvec(lat.ones)  # W stores no entries

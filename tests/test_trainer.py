@@ -251,6 +251,34 @@ def test_non_finite_parameter_is_reported(monkeypatch, tmp_path):
     assert_saves_as(st, tmp_path / "before.ckpt")
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf], ids=["nan", "inf"])
+def test_non_finite_gradient_is_reported(monkeypatch, tmp_path, bad):
+    # a NaN gradient makes its rate NaN; an inf one makes its rate 0 and
+    # then a NaN parameter.  Either way the error names the gradient, and
+    # no RuntimeWarning (a failure under pyproject's filter) is emitted
+    def poisoned(states, lattice, n):
+        grads = gradient_set_from_states(states, lattice, n)
+        grads.weight_total[0, 0] = bad
+        return grads
+
+    monkeypatch.setattr("pmdnet.trainer.gradient_set_from_states", poisoned)
+    st = new_state(SMALL_CFG, SMALL_TC)
+    checkpoint_save(st, tmp_path / "before.ckpt")
+    with pytest.raises(TrainingDivergedError, match="non-finite gradient at step 0"):
+        run_training(st, 1)
+    assert_saves_as(st, tmp_path / "before.ckpt")
+
+
+def test_non_finite_input_is_named_as_bad_input(tmp_path):
+    st = new_state(SMALL_CFG, SMALL_TC)
+    x = next_vector(st)
+    x.reshape(-1)[3] = np.nan
+    checkpoint_save(st, tmp_path / "before.ckpt")
+    with pytest.raises(ValueError, match="input vector must be finite"):
+        train_step(st, x)
+    assert_saves_as(st, tmp_path / "before.ckpt")
+
+
 def test_objective_improves_on_small_run():
     wins = 0
     for seed in (0, 1, 2):
