@@ -7,6 +7,10 @@ stationary configurations exist: every node follows a single circle
 nodes split half and half (SPLIT, "type3").  Their objective values have
 closed forms in the squared radius of gyration of a circular arc, so the
 optimal configuration as a function of (M, n) is exactly computable.
+optimal_type and value_table share one winner rule, so a table row reads
+its winner off the three values it exports instead of evaluating them
+again; phase_diagram returns only the crossing points between consecutive
+M values whose winner differs.
 
 All values here omit a shared additive constant; only differences matter.
 """
@@ -33,18 +37,8 @@ class SolutionType(enum.Enum):
 
 
 ALL_TYPES = (SolutionType.SINGLE, SolutionType.JOINT, SolutionType.SPLIT)
-
-
-@dataclass(frozen=True)
-class AnalyticCase:
-    m: float
-    n: float
-    stype: SolutionType
-    value: float
-
-    def __post_init__(self):
-        if self.value > 0.0:
-            raise ValueError(f"closed-form value must be <= 0, got {self.value}")
+# values within this of the minimum tie with it (exact analytic ties exist)
+TIE_TOL = 1e-9
 
 
 class OptimalType(NamedTuple):
@@ -88,24 +82,23 @@ def solution_value(stype: SolutionType, m: float, n: float) -> float:
     raise TypeError(f"unknown solution type {stype!r}")
 
 
-def make_case(stype: SolutionType, m: float, n: float) -> AnalyticCase:
-    return AnalyticCase(m=m, n=n, stype=stype, value=solution_value(stype, m, n))
-
-
-def optimal_type(m: float, n: float, tie_tol: float = 1e-9) -> OptimalType:
-    """Configuration(s) with the lowest value at (M, n).
+def _winner(values: list[float]) -> OptimalType:
+    """The optimum among the values of ALL_TYPES, in that order.
 
     `best` has the strictly lowest value (enum order breaks exact float
-    ties); `ties` lists every type within tie_tol of the minimum, so exact
-    analytic ties (they exist) are reported rather than hidden.
+    ties); `ties` lists every type within TIE_TOL of the minimum, so exact
+    analytic ties are reported rather than hidden.
     """
+    vmin = min(values)
+    ties = tuple(t for t, v in zip(ALL_TYPES, values) if v <= vmin + TIE_TOL)
+    return OptimalType(best=ALL_TYPES[values.index(vmin)], ties=ties)
+
+
+def optimal_type(m: float, n: float) -> OptimalType:
+    """Configuration(s) with the lowest value at (M, n)."""
     if m < 2.0:
         raise ValueError(f"need M >= 2, got {m}")
-    values = [(solution_value(t, m, n), i, t) for i, t in enumerate(ALL_TYPES)]
-    vmin = min(v for v, _, _ in values)
-    best = min(values)[2]
-    ties = tuple(t for v, _, t in values if v <= vmin + tie_tol)
-    return OptimalType(best=best, ties=ties)
+    return _winner([solution_value(t, m, n) for t in ALL_TYPES])
 
 
 def stationary_scale(stype: SolutionType, n: float, attached_subspace: int = 1) -> tuple[float, float]:
@@ -130,30 +123,12 @@ def stationary_scale(stype: SolutionType, n: float, attached_subspace: int = 1) 
     return (scale, 0.0) if attached_subspace == 1 else (0.0, scale)
 
 
-def attachment_probability(n: int, n1: int) -> float:
-    """Probability that n1 of n independent fair subspace choices pick
-    subspace 1: C(n, n1) / 2^n.  Documented helper, not used elsewhere."""
-    if n < 1 or math.isinf(n):
-        raise ValueError(f"need finite n >= 1, got {n}")
-    if not (0 <= n1 <= n):
-        raise ValueError(f"need 0 <= n1 <= n, got n1={n1}")
-    return math.comb(int(n), int(n1)) / 2.0 ** int(n)
-
-
 @dataclass(frozen=True)
 class PhaseBoundary:
     n: float
     m: float           # crossing point, located to 1e-6
     lower: SolutionType  # optimal just below m
     upper: SolutionType  # optimal just above m
-
-
-@dataclass(frozen=True)
-class PhaseDiagram:
-    m_values: tuple[float, ...]
-    n_values: tuple[float, ...]
-    grid: tuple[tuple[OptimalType, ...], ...]   # [n index][m index]
-    boundaries: tuple[PhaseBoundary, ...]
 
 
 def _bisect_crossing(a: SolutionType, b: SolutionType, n: float, lo: float, hi: float, tol: float = 1e-6) -> float:
@@ -175,54 +150,45 @@ def _bisect_crossing(a: SolutionType, b: SolutionType, n: float, lo: float, hi: 
     return 0.5 * (lo + hi)
 
 
-def phase_diagram(m_values, n_values) -> PhaseDiagram:
-    """Optimal type over a grid, plus crossing points between consecutive
-    grid columns whose winner differs."""
+def phase_diagram(m_values, n_values) -> tuple[PhaseBoundary, ...]:
+    """For each n, the crossing points between consecutive M grid values
+    whose optimal type differs."""
     m_values = tuple(float(m) for m in m_values)
     n_values = tuple(float(n) for n in n_values)
     if not m_values or not n_values:
         raise ValueError("need nonempty M and n ranges")
-    grid = []
     boundaries = []
     for n in n_values:
-        row = tuple(optimal_type(m, n) for m in m_values)
-        grid.append(row)
-        for j in range(len(m_values) - 1):
-            a, b = row[j].best, row[j + 1].best
-            if a is b:
-                continue
-            m_cross = _bisect_crossing(a, b, n, m_values[j], m_values[j + 1])
-            boundaries.append(PhaseBoundary(n=n, m=m_cross, lower=a, upper=b))
-    return PhaseDiagram(
-        m_values=m_values,
-        n_values=n_values,
-        grid=tuple(grid),
-        boundaries=tuple(boundaries),
-    )
+        best = [optimal_type(m, n).best for m in m_values]
+        for j, (a, b) in enumerate(zip(best, best[1:])):
+            if a is not b:
+                m_cross = _bisect_crossing(a, b, n, m_values[j], m_values[j + 1])
+                boundaries.append(PhaseBoundary(n=n, m=m_cross, lower=a, upper=b))
+    return tuple(boundaries)
 
 
 def value_table(m_values, n: float):
     """Rows (M, value_single, value_joint, value_split, winner_label) for
-    CSV export; ties joined with '|'."""
+    CSV export; ties joined with '|'.  M < 2 raises from solution_value."""
     rows = []
     for m in m_values:
         m = float(m)
         vals = [solution_value(t, m, n) for t in ALL_TYPES]
-        opt = optimal_type(m, n)
+        opt = _winner(vals)
         label = "|".join(t.label for t in opt.ties) if len(opt.ties) > 1 else opt.best.label
-        rows.append((m, vals[0], vals[1], vals[2], label))
+        rows.append((m, *vals, label))
     return rows
 
 
-def integer_scan(n: float, m_lo: int = 4, m_hi: int = 100, tie_tol: float = 1e-9):
-    """(M, ties) for integer M in [m_lo, m_hi].
+def integer_scan(n: float):
+    """(M, ties) for integer M in [4, 100].
 
     Textual summaries scan from M = 4 upward: below that the closed forms
     involve sub-2-point arcs (sqrt(M) < 2 or M/2 < 2) that no longer
     describe realisable ring configurations, and M = 2 produces a spurious
     JOINT optimum there.
     """
-    return [(m, optimal_type(float(m), n, tie_tol).ties) for m in range(m_lo, m_hi + 1)]
+    return [(m, optimal_type(float(m), n).ties) for m in range(4, 101)]
 
 
 def _ranges(ms: list[int]) -> list[tuple[int, int]]:
@@ -235,9 +201,9 @@ def _ranges(ms: list[int]) -> list[tuple[int, int]]:
     return runs
 
 
-def describe_crossovers(n: float, m_lo: int = 4, m_hi: int = 100) -> str:
-    """One-line summary of which type is optimal over integer M."""
-    scan = integer_scan(n, m_lo, m_hi)
+def describe_crossovers(n: float) -> str:
+    """One-line summary of which type is optimal over integer M in [4, 100]."""
+    scan = integer_scan(n)
     n_label = "inf" if math.isinf(n) else f"{n:g}"
     parts = []
     for t in ALL_TYPES:

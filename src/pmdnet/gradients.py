@@ -97,9 +97,6 @@ class GradientSet:
     weight_total: np.ndarray
     ref_total: np.ndarray
 
-    def all_finite(self) -> bool:
-        return all(np.all(np.isfinite(a)) for a in (self.bias_total, self.weight_total, self.ref_total))
-
 
 def gradient_set_from_states(states, lattice: Lattice, n: float) -> GradientSet:
     """Average the per-sample bias, weight and ref totals over the states."""
@@ -134,6 +131,7 @@ def all_gradients(samples: SampleSet, lattice: Lattice, params: NodeParams, n: f
 
 
 FD_TOL = 1e-5
+FD_STEP = 1e-5  # the central-difference step h
 # Rounding in one objective evaluation is about eps * |D|, so a central
 # difference with step h is uncertain by about eps * |D| / h however small
 # the derivative.  Over seeds 0-299 of the two gradcheck geometries (1x8 and
@@ -165,8 +163,8 @@ class FDReport:
     def worst(self) -> FDEntry | None:
         return max(self.entries, key=lambda e: e.rel_error, default=None)
 
-    def passed(self, tol: float = FD_TOL) -> bool:
-        return self.max_rel_error <= tol
+    def passed(self) -> bool:
+        return self.max_rel_error <= FD_TOL
 
     def format_text(self, limit: int | None = None) -> str:
         lines = ["kind node comp analytic numeric rel_error"]
@@ -193,7 +191,6 @@ def finite_difference_check(
     lattice: Lattice,
     params: NodeParams,
     n: float,
-    step: float = 1e-5,
     corrupt_first_component: bool = False,
 ) -> FDReport:
     """Compare every analytic derivative component against central finite
@@ -214,13 +211,13 @@ def finite_difference_check(
         width = arr.shape[1] if arr.ndim == 2 else 1
         for idx in range(flat.shape[0]):
             orig = flat[idx]
-            flat[idx] = orig + step
+            flat[idx] = orig + FD_STEP
             f_plus = compute_D1_D2(samples, lattice, params, n).total
-            flat[idx] = orig - step
+            flat[idx] = orig - FD_STEP
             f_minus = compute_D1_D2(samples, lattice, params, n).total
             flat[idx] = orig
-            numeric = (f_plus - f_minus) / (2.0 * step)
-            noise = np.finfo(float).eps * max(abs(f_plus), abs(f_minus)) / step
+            numeric = (f_plus - f_minus) / (2.0 * FD_STEP)
+            noise = np.finfo(float).eps * max(abs(f_plus), abs(f_minus)) / FD_STEP
             a = float(analytic[kind].reshape(-1)[idx])
             report.entries.append(
                 FDEntry(

@@ -4,10 +4,12 @@ One training vector is drawn, conditioned, and consumed per update.  Each
 of the three parameter types (biases, weights, reference vectors) gets its
 own update rate, recomputed for every training vector so that the mean
 absolute parameter change of type t equals epsilon times the current
-spread (max - min) of that type's values.  A step computes its update out
-of place and commits it only when every new value is finite; run_training
-puts the data RNG back when a step raises.  A failed step therefore changes
-nothing: parameters, rates, step count and RNG are as they were before it.
+spread (max - min) of that type's values.  A step builds its gradients
+once, checks the mean |gradient| and the rate of each type, computes its
+update out of place and commits it only when every new value is finite;
+run_training puts the data RNG back when a step raises, Ctrl-C included.  A
+step that fails or is interrupted therefore changes nothing: parameters,
+rates, step count and RNG are as they were before it.
 
 Checkpoints are versioned binary files whose save/load round trip is
 bit-exact, including the data RNG state, so an interrupted run resumed
@@ -47,7 +49,7 @@ class CheckpointError(RuntimeError):
 
 
 class TrainingDivergedError(RuntimeError):
-    """A non-finite gradient or parameter appeared during training."""
+    """A non-finite gradient, update rate or parameter appeared during training."""
 
 
 @dataclass
@@ -142,55 +144,49 @@ def _paired(params: NodeParams, grads: GradientSet):
             (params.ref_vectors, grads.ref_total))
 
 
-def adapt_rates(params: NodeParams, grads: GradientSet, epsilon: float) -> tuple[np.ndarray, np.ndarray]:
+def adapt_rates(params: NodeParams, grads: GradientSet,
+                epsilon: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Per-type rates: epsilon * spread / (mean |gradient| + tiny).
 
     By construction the mean absolute applied change of type t is then
     epsilon * spread_t whenever the mean gradient magnitude is nonzero.
-    Returns (rates, spreads) ordered bias, weight, ref.
+    Returns (rates, spreads, means) ordered bias, weight, ref, where means
+    holds each type's mean |gradient|.  A NaN or infinite gradient entry
+    makes its type's mean non-finite, and so does a sum of finite entries
+    that overflows (every weight total at 1e307, say), whose rate would
+    otherwise read 0 and let the step commit no change; train_step reports
+    either as a non-finite gradient.
     """
     rates = np.zeros(3)
     diameters = np.zeros(3)
+    means = np.zeros(3)
     for i, (values, grad) in enumerate(_paired(params, grads)):
         diameters[i] = _spread(values)
         with np.errstate(over="ignore"):
             # np.abs(grad).mean() without its Python wrapper, bitwise
-            mean = float(np.add.reduce(np.abs(grad), axis=None)) / grad.size
+            means[i] = mean = float(np.add.reduce(np.abs(grad), axis=None)) / grad.size
             # a huge epsilon overflows to inf here; train_step reports that
             rates[i] = epsilon * diameters[i] / (mean + GRAD_MEAN_EPS)
-    return rates, diameters
-
-
-def _gradients(state: TrainerState, x: np.ndarray) -> GradientSet:
-    lattice = state.lattice
-    return gradient_set_from_states([build_state(x, lattice, state.params)], lattice, float(state.tcfg.n))
-
-
-def _diverged(state: TrainerState, x: np.ndarray, what: str) -> TrainingDivergedError:
-    """The error of a failed step, naming the gradients when they are at
-    fault.  A non-finite gradient reaches the rates (NaN) or the new values
-    (inf times a zero rate), and the update is written over the gradients;
-    so they are built again, bitwise as before since the step committed
-    nothing, and tested here on the failure path only."""
-    if not _gradients(state, x).all_finite():
-        what = "gradient"
-    return TrainingDivergedError(f"non-finite {what} at step {state.step}")
+    return rates, diameters, means
 
 
 def train_step(state: TrainerState, x: np.ndarray) -> TrainerState:
     """One online update from one (already conditioned) training vector
     over the padded input array."""
-    grads = _gradients(state, x)
-    rates, diameters = adapt_rates(state.params, grads, state.tcfg.epsilon)
-    if not np.isfinite(rates).all():
-        raise _diverged(state, x, "update rate")
+    lattice = state.lattice
+    grads = gradient_set_from_states([build_state(x, lattice, state.params)], lattice,
+                                     float(state.tcfg.n))
+    rates, diameters, means = adapt_rates(state.params, grads, state.tcfg.epsilon)
+    for what, values in (("gradient", means), ("update rate", rates)):
+        if not np.isfinite(values).all():
+            raise TrainingDivergedError(f"non-finite {what} at step {state.step}")
     # each new value is written over its gradient total, which this step
     # owns; an overflow is reported by the check below, not as a warning
     with np.errstate(over="ignore", invalid="ignore"):
         new = [np.subtract(values, np.multiply(rate, grad, out=grad), out=grad)
                for rate, (values, grad) in zip(rates, _paired(state.params, grads))]
     if not all(np.isfinite(arr).all() for arr in new):
-        raise _diverged(state, x, "parameter")
+        raise TrainingDivergedError(f"non-finite parameter at step {state.step}")
     state.params.biases, state.params.weights, state.params.ref_vectors = new
     state.rates = rates
     state.diameters = diameters
@@ -214,8 +210,8 @@ def run_training(state: TrainerState, updates: int, on_step=None) -> TrainerStat
 
     Under the "restart" seed policy every segment replays the same data
     stream (a finite training set revisited); under "fresh" the stream
-    continues from the stored RNG state.  A step that raises leaves the RNG
-    where it was before that step's draw.
+    continues from the stored RNG state.  A step that fails or is
+    interrupted leaves the RNG where it was before that step's draw.
     """
     if state.seed_policy == "restart":
         state.data_rng = np.random.default_rng([state.tcfg.seed, 1])
@@ -223,7 +219,7 @@ def run_training(state: TrainerState, updates: int, on_step=None) -> TrainerStat
         rng_state = state.data_rng.bit_generator.state
         try:
             train_step(state, next_vector(state))
-        except Exception:
+        except BaseException:  # Ctrl-C included
             state.data_rng.bit_generator.state = rng_state
             raise
         if on_step is not None:

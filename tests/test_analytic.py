@@ -7,12 +7,9 @@ import pytest
 
 from pmdnet.analytic import (
     ALL_TYPES,
-    AnalyticCase,
     SolutionType,
-    attachment_probability,
     describe_crossovers,
     integer_scan,
-    make_case,
     optimal_type,
     phase_diagram,
     radius_gyration,
@@ -51,12 +48,6 @@ def test_solution_values():
         solution_value(SolutionType.SPLIT, 1.5, 2.0)
     with pytest.raises(ValueError):
         solution_value(SolutionType.SINGLE, 4.0, 0.5)
-
-
-def test_case_rejects_positive_value():
-    make_case(SolutionType.SINGLE, 8.0, 2.0)
-    with pytest.raises(ValueError):
-        AnalyticCase(m=8.0, n=2.0, stype=SolutionType.SINGLE, value=0.1)
 
 
 def test_exact_tie_infinite_n_at_m8():
@@ -137,21 +128,10 @@ def test_stationary_scale():
         stationary_scale(SolutionType.SPLIT, 2.0, attached_subspace=3)
 
 
-def test_attachment_probability():
-    probs = [attachment_probability(3, k) for k in range(4)]
-    assert probs == [1 / 8, 3 / 8, 3 / 8, 1 / 8]
-    assert sum(attachment_probability(7, k) for k in range(8)) == pytest.approx(1.0, abs=1e-15)
-    with pytest.raises(ValueError):
-        attachment_probability(0, 0)
-    with pytest.raises(ValueError):
-        attachment_probability(3, 4)
-
-
 def test_phase_diagram_boundaries():
     ms = np.arange(2.0, 60.0, 0.25)
-    pd = phase_diagram(ms, [1.0, 2.0, math.inf])
     by_n = {}
-    for b in pd.boundaries:
+    for b in phase_diagram(ms, [1.0, 2.0, math.inf]):
         by_n.setdefault(b.n, []).append(b)
 
     n1 = [b for b in by_n[1.0] if b.m > 3]
@@ -185,6 +165,9 @@ def test_value_table_reports_ties():
     assert v1 == pytest.approx(-18.0 / math.pi**2, abs=1e-12)
     assert winner == "type1|type3"
     assert rows[0][4] == "type1"
+    # the split configuration's own check refuses M < 2
+    with pytest.raises(ValueError, match="split configuration needs M >= 2"):
+        value_table([1.5], 2.0)
 
 
 def test_enum_labels():

@@ -235,7 +235,7 @@ def test_finite_difference_check_passes():
         params = make_params(lat, rng)
         samples = SampleSet(vectors=rng.uniform(-1, 1, (3, lat.input_size)))
         report = finite_difference_check(samples, lat, params, n)
-        assert report.passed(1e-5), report.format_text(limit=3)
+        assert report.passed(), report.format_text(limit=3)
         assert len(report.entries) == 5 + 2 * 5 * 3
 
 
@@ -247,7 +247,7 @@ def test_finite_difference_check_detects_corruption():
     params = make_params(lat, rng)
     samples = SampleSet(vectors=rng.uniform(-1, 1, (2, lat.input_size)))
     report = finite_difference_check(samples, lat, params, 2.0, corrupt_first_component=True)
-    assert not report.passed(1e-5)
+    assert not report.passed()
     assert report.worst is not None and report.worst.kind == "ref"
 
 
@@ -285,7 +285,7 @@ def test_saturated_activations_keep_gradients_finite(cfg):
     xs = rng.uniform(-1, 1, (3, lat.input_size))
     n = 5.0
     gs = all_gradients(SampleSet(vectors=xs), lat, params, n)
-    assert gs.all_finite()
+    assert all(np.isfinite(a).all() for a in (gs.bias_total, gs.weight_total, gs.ref_total))
     parts, mags = [0.0] * 6, [0.0] * 6
     for x in xs:
         st = build_state(x, lat, params)

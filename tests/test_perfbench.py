@@ -21,6 +21,12 @@ def load_perfbench(name):
     return module
 
 
+def program():
+    """The namespace perfbench/run.py hands its passes."""
+    return argparse.Namespace(package=pmdnet, cli=cli, lattice=lattice, trainer=trainer,
+                              clear_lattice_cache=lattice.get_lattice.cache_clear)
+
+
 def test_every_traced_function_resolves():
     # the tracer reports a function it cannot find as absent and reads its
     # per-layer metrics as 0, so a rename in pmdnet must fail here instead
@@ -38,12 +44,32 @@ def test_every_traced_function_resolves():
 
 
 def test_bench_passes_run_and_pass_their_gates(tmp_path):
-    # the namespace perfbench/run.py hands its passes; a renamed TrainerState
-    # or RunConfig field fails here instead of as a failed operation
-    pm = argparse.Namespace(package=pmdnet, cli=cli, lattice=lattice, trainer=trainer,
-                            clear_lattice_cache=lattice.get_lattice.cache_clear)
+    # a renamed TrainerState or RunConfig field fails here instead of as a
+    # failed operation
+    pm = program()
     workloads = load_perfbench("workloads")
     for res in (workloads.training_pass(pm, "map2d_40x40", 0, str(tmp_path), lambda _: None),
                 workloads.verify_pass(pm, 0, str(tmp_path), lambda _: None)):
         assert res.gates and all(ok for _name, ok, _detail in res.gates), res.gates
         assert res.failed == 0
+
+
+def test_verify_passes_repeat_and_time_their_evaluations(tmp_path):
+    # the bench's run-level gates over verify passes: the outputs of two
+    # passes are byte-identical, and the objective evaluations inside the
+    # checks reach the tracer through the names the modules bind
+    pm = program()
+    workloads = load_perfbench("workloads")
+    tracer = load_perfbench("tracing").Tracer(pmdnet, "test", only=("objective.compute_D1_D2",))
+    fingerprints = []
+    for label in (0, 1):
+        tracer.install()
+        try:
+            res = workloads.verify_pass(
+                pm, 0, str(tmp_path), lambda part, label=label: tracer.begin(part or label))
+        finally:
+            tracer.uninstall()
+        assert res.failed == 0, res.gates
+        fingerprints.append(res.fingerprint)
+    assert fingerprints[0] == fingerprints[1]
+    assert tracer.durations("objective.compute_D1_D2")

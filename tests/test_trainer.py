@@ -4,6 +4,7 @@ import dataclasses
 import hashlib
 import json
 import struct
+import warnings
 
 import numpy as np
 import pytest
@@ -84,7 +85,8 @@ def test_adapt_rates_worked_example():
                         ref_vectors=np.zeros((m, k)))
     gs = zero_grads(m, k)
     gs.bias_total[:] = 0.01
-    rates, diams = adapt_rates(params, gs, 0.002)
+    rates, diams, means = adapt_rates(params, gs, 0.002)
+    assert means.tolist() == [0.01, 0.0, 0.0]
     assert diams[0] == 2.0
     assert rates[0] == pytest.approx(0.4, rel=1e-9)
     assert rates[0] * 0.01 == pytest.approx(0.004, rel=1e-9)
@@ -95,7 +97,7 @@ def test_adapt_rates_worked_example():
 def test_adapt_rates_wide_spread_reported():
     params = NodeParams(weights=np.array([[0.0], [0.0]]), biases=np.array([-3.0, 5.0]),
                         ref_vectors=np.array([[2.0], [-2.0]]))
-    rates, diams = adapt_rates(params, zero_grads(2, 1), 0.002)
+    rates, diams, _means = adapt_rates(params, zero_grads(2, 1), 0.002)
     assert diams.tolist() == [8.0, 1.0, 4.0]
     # zero gradients: the tiny regulariser keeps rates finite
     assert np.all(np.isfinite(rates))
@@ -241,7 +243,8 @@ def test_non_finite_parameter_is_reported(monkeypatch, tmp_path):
     # overflows: refs 30 away from the data give |ref gradient| > 1, and the
     # largest finite rate times that is inf
     monkeypatch.setattr("pmdnet.trainer.adapt_rates",
-                        lambda params, grads, eps: (np.full(3, np.finfo(float).max), np.ones(3)))
+                        lambda params, grads, eps: (np.full(3, np.finfo(float).max), np.ones(3),
+                                                    np.ones(3)))
     st = new_state(SMALL_CFG, SMALL_TC)
     st.params.ref_vectors[:] = 30.0
     checkpoint_save(st, tmp_path / "before.ckpt")
@@ -265,6 +268,39 @@ def test_non_finite_gradient_is_reported(monkeypatch, tmp_path, bad):
     st = new_state(SMALL_CFG, SMALL_TC)
     checkpoint_save(st, tmp_path / "before.ckpt")
     with pytest.raises(TrainingDivergedError, match="non-finite gradient at step 0"):
+        run_training(st, 1)
+    assert_saves_as(st, tmp_path / "before.ckpt")
+
+
+def test_overflowing_gradient_mean_is_reported(monkeypatch, tmp_path):
+    # every weight total is finite, but their sum overflows, so the mean
+    # |gradient| is inf; the rate it gives would read 0 and commit a step
+    # that changes no weight, so the step is refused as a non-finite gradient
+    def huge(states, lattice, n):
+        grads = gradient_set_from_states(states, lattice, n)
+        grads.weight_total[:] = 1e307
+        return grads
+
+    monkeypatch.setattr("pmdnet.trainer.gradient_set_from_states", huge)
+    st = new_state(GRADCHECK_DEFAULTS.lattice, GRADCHECK_DEFAULTS.training)
+    checkpoint_save(st, tmp_path / "before.ckpt")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(TrainingDivergedError, match="non-finite gradient at step 0"):
+            run_training(st, 1)
+    assert_saves_as(st, tmp_path / "before.ckpt")
+
+
+def test_interrupted_step_leaves_rng_where_it_was(monkeypatch, tmp_path):
+    # Ctrl-C inside a step (a BaseException, not an Exception) must not
+    # leave the data RNG one draw ahead
+    def interrupted(states, lattice, n):
+        raise KeyboardInterrupt
+
+    st = run_training(new_state(SMALL_CFG, SMALL_TC), 2)
+    checkpoint_save(st, tmp_path / "before.ckpt")
+    monkeypatch.setattr("pmdnet.trainer.gradient_set_from_states", interrupted)
+    with pytest.raises(KeyboardInterrupt):
         run_training(st, 1)
     assert_saves_as(st, tmp_path / "before.ckpt")
 
