@@ -9,8 +9,9 @@ closed forms in the squared radius of gyration of a circular arc, so the
 optimal configuration as a function of (M, n) is exactly computable.
 optimal_type and value_table share one winner rule, so a table row reads
 its winner off the three values it exports instead of evaluating them
-again; phase_diagram returns only the crossing points between consecutive
-M values whose winner differs.
+again; phase_diagram reads the winners off value_table's rows, so a grid
+point is evaluated once, and returns only the crossing points between
+consecutive M values whose winner differs.
 
 All values here omit a shared additive constant; only differences matter.
 """
@@ -91,7 +92,13 @@ def _winner(values: list[float]) -> OptimalType:
     """
     vmin = min(values)
     ties = tuple(t for t, v in zip(ALL_TYPES, values) if v <= vmin + TIE_TOL)
-    return OptimalType(best=ALL_TYPES[values.index(vmin)], ties=ties)
+    return OptimalType(best=_best(values), ties=ties)
+
+
+def _best(values) -> SolutionType:
+    """The type with the lowest of the values of ALL_TYPES, first in enum
+    order on an exact float tie."""
+    return ALL_TYPES[values.index(min(values))]
 
 
 def optimal_type(m: float, n: float) -> OptimalType:
@@ -150,19 +157,23 @@ def _bisect_crossing(a: SolutionType, b: SolutionType, n: float, lo: float, hi: 
     return 0.5 * (lo + hi)
 
 
-def phase_diagram(m_values, n_values) -> tuple[PhaseBoundary, ...]:
+def phase_diagram(tables) -> tuple[PhaseBoundary, ...]:
     """For each n, the crossing points between consecutive M grid values
-    whose optimal type differs."""
-    m_values = tuple(float(m) for m in m_values)
-    n_values = tuple(float(n) for n in n_values)
-    if not m_values or not n_values:
+    whose optimal type differs.
+
+    `tables` is a sequence of (n, value_table(m_values, n)) pairs, in
+    output order; the winners are read off the rows' values, so no grid
+    point is evaluated again.
+    """
+    if not tables or not all(rows for _, rows in tables):
         raise ValueError("need nonempty M and n ranges")
     boundaries = []
-    for n in n_values:
-        best = [optimal_type(m, n).best for m in m_values]
+    for n, rows in tables:
+        n = float(n)
+        best = [_best(row[1:4]) for row in rows]
         for j, (a, b) in enumerate(zip(best, best[1:])):
             if a is not b:
-                m_cross = _bisect_crossing(a, b, n, m_values[j], m_values[j + 1])
+                m_cross = _bisect_crossing(a, b, n, rows[j][0], rows[j + 1][0])
                 boundaries.append(PhaseBoundary(n=n, m=m_cross, lower=a, upper=b))
     return tuple(boundaries)
 

@@ -43,7 +43,7 @@ from .analytic import describe_crossovers, phase_diagram, value_table
 from .datagen import TrainingConfig, validate_kappa
 from .gradients import FD_TOL, finite_difference_check
 from .lattice import LatticeConfig, get_lattice
-from .objective import ENUMERATION_GUARD, SampleSet, compute_D_exact
+from .objective import ENUMERATION_GUARD, MAX_FIRINGS, SampleSet, compute_D_exact
 from .schema import check_field_types, config_hash, field_types
 from .trainer import (
     SEED_POLICIES,
@@ -372,15 +372,17 @@ def cmd_phase(args) -> int:
     os.makedirs(args.out_dir, exist_ok=True)
     m_values = np.arange(args.m_min, stop, args.m_step)
 
+    tables = []
     for n in n_values:
         label = "inf" if math.isinf(n) else f"{n:g}"
         rows = value_table(m_values, n)
+        tables.append((n, rows))
         _write_csv(os.path.join(args.out_dir, f"values_n{label}.csv"), cfg_hash,
                    ["M", "value_type1", "value_type2", "value_type3", "winner"], rows)
         print(describe_crossovers(n))
     boundary_rows = [
         ("inf" if math.isinf(b.n) else f"{b.n:g}", b.m, b.lower.label, b.upper.label)
-        for b in phase_diagram(m_values, n_values)
+        for b in phase_diagram(tables)
     ]
     _write_csv(os.path.join(args.out_dir, "phase_boundaries.csv"), cfg_hash,
                ["n", "M", "optimal_below", "optimal_above"], boundary_rows)
@@ -391,8 +393,12 @@ def cmd_bound_oracle(args) -> int:
     m, n, count = args.nodes, args.firings, args.samples
     if m < 1 or n < 1 or count < 1 or args.dim < 1:
         raise ConfigError("nodes, firings, samples and dim must all be >= 1")
+    if n > MAX_FIRINGS:  # before M^n, which --nodes 1 would pass for any n
+        raise ConfigError(f"--firings {n} exceeds {MAX_FIRINGS}, the most the "
+                          f"{ENUMERATION_GUARD:,} enumeration guard admits at --nodes 2")
     if m ** n > ENUMERATION_GUARD:
-        raise ConfigError(f"tuple space M^n = {m}^{n} exceeds the 1e6 enumeration guard")
+        raise ConfigError(f"tuple space M^n = {m}^{n} exceeds the {ENUMERATION_GUARD:,} "
+                          f"enumeration guard")
     rng = np.random.default_rng([args.seed, 5])
     samples = SampleSet(vectors=rng.uniform(-1.0, 1.0, size=(count, args.dim)))
     raw = rng.uniform(0.1, 1.0, size=(count, m))

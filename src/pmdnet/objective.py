@@ -24,6 +24,9 @@ from .activation import NodeParams, localized_posterior_entries, stable_sigmoid
 from .lattice import Lattice
 
 ENUMERATION_GUARD = 1_000_000
+# The most firings the guard admits at M = 2, floor(log2 ENUMERATION_GUARD).
+# It also bounds n at M = 1, where M^n = 1 would pass any n.
+MAX_FIRINGS = ENUMERATION_GUARD.bit_length() - 1
 
 
 class StationaritySolveError(RuntimeError):
@@ -205,6 +208,15 @@ def compute_D_exact(
     All tuple-level reference vectors are empirical Bayes centroids.
     Returns (distortion, d1, d2, d3) with distortion = d1 + d2 - d3 up to
     rounding and d3 >= 0.
+
+    The independent path is component-major: the tuple centroids are one
+    (dim, T) array over the T = M^n tuples, and squared distances are
+    summed into (T,) arrays one input component at a time, so memory is
+    about dim + 5 doubles per tuple and no (T, dim) temporary is built.
+    Components are added in order k = 0, 1, ..., which matches numpy's row
+    sum of a (T, dim) array for dim < 8; from dim = 8 numpy sums a row
+    pairwise, so a (T, dim) rendering may differ in the last bits.
+    n is at most MAX_FIRINGS and M^n at most ENUMERATION_GUARD.
     """
     x = samples.vectors
     s, dim = x.shape
@@ -229,6 +241,11 @@ def compute_D_exact(
         m = post.shape[1]
         if not np.allclose(post.sum(axis=1), 1.0, atol=1e-9):
             raise ValueError("posterior rows must sum to 1")
+        if n < 1:
+            raise ValueError("n must be >= 1")
+        if n > MAX_FIRINGS:
+            raise ValueError(f"n = {n} exceeds {MAX_FIRINGS}, the most firings the enumeration "
+                             f"guard {ENUMERATION_GUARD} admits at M = 2")
         if m**n > ENUMERATION_GUARD:
             raise ValueError(f"M^n = {m**n} exceeds enumeration guard {ENUMERATION_GUARD}")
         mar1 = post
@@ -267,32 +284,52 @@ def compute_D_exact(
         d3 = 2.0 * float((pr_t * ((ref_t - centroid_mean) ** 2).sum(axis=2)).sum())
         return ExactBound(distortion=d_total, d1=d1, d2=d2, d3=d3)
 
+    # Component-major: every (T,) row below is one input component over all
+    # T = M^n tuples, so no (T, dim) temporary is built.
     t = m**n
     pr_t = np.zeros(t)
-    num_t = np.zeros((t, dim))
+    ref_t = np.zeros((dim, t))  # numerators, then tuple centroids
     for i in range(s):
         probs = _tuple_probs(post[i], n)
         pr_t += probs / s
-        num_t += probs[:, None] * x[i][None, :] / s
-    ref_t = np.zeros((t, dim))
+        for k in range(dim):
+            ref_t[k] += probs * x[i, k] / s
     live_t = pr_t > 0.0
-    ref_t[live_t] = num_t[live_t] / pr_t[live_t, None]
+    np.divide(ref_t, pr_t, out=ref_t, where=live_t)
+    ref_t[:, ~live_t] = 0.0  # unattached tuples, as for ref_y
 
     d_total = 0.0
     d2 = 0.0
+    dist = np.empty(t)
     for i in range(s):
-        probs = _tuple_probs(post[i], n)
-        diff = x[i][None, :] - ref_t
-        d_total += float(probs @ (diff**2).sum(axis=1))
+        dist.fill(0.0)
+        for k in range(dim):
+            _add_square(dist, x[i, k] - ref_t[k])
+        d_total += float(_tuple_probs(post[i], n) @ dist)
         resid = x[i] - post[i] @ ref_y
         d2 += float(resid @ resid)
     d_total *= 2.0 / s
     d2 *= 2.0 * (n - 1.0) / (n * s)
 
-    slots = np.array(np.unravel_index(np.arange(t), (m,) * n))
-    centroid_mean = ref_y[slots].mean(axis=0)
-    d3 = 2.0 * float(pr_t @ ((ref_t - centroid_mean) ** 2).sum(axis=1))
+    # mean of the n slot centroids of each tuple, one component at a time:
+    # slot a is axis a of the (M,)*n tuple grid, row-major as in _tuple_probs
+    centroid_mean = np.empty(t)
+    mean_grid = centroid_mean.reshape((m,) * n)  # a view
+    dist.fill(0.0)
+    for k in range(dim):
+        centroid_mean.fill(0.0)
+        for a in range(n):
+            mean_grid += ref_y[:, k].reshape((m,) + (1,) * (n - 1 - a))
+        centroid_mean /= n
+        _add_square(dist, ref_t[k] - centroid_mean)
+    d3 = 2.0 * float(pr_t @ dist)
     return ExactBound(distortion=d_total, d1=d1, d2=d2, d3=d3)
+
+
+def _add_square(acc: np.ndarray, diff: np.ndarray) -> None:
+    """acc += diff**2, squaring diff in place."""
+    np.multiply(diff, diff, out=diff)
+    acc += diff
 
 
 def stationary_form_value(

@@ -131,7 +131,7 @@ def test_stationary_scale():
 def test_phase_diagram_boundaries():
     ms = np.arange(2.0, 60.0, 0.25)
     by_n = {}
-    for b in phase_diagram(ms, [1.0, 2.0, math.inf]):
+    for b in phase_diagram([(n, value_table(ms, n)) for n in (1.0, 2.0, math.inf)]):
         by_n.setdefault(b.n, []).append(b)
 
     n1 = [b for b in by_n[1.0] if b.m > 3]

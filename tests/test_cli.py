@@ -19,6 +19,7 @@ from pmdnet.cli import (
     merge_config,
 )
 
+from pmdnet.objective import ENUMERATION_GUARD, MAX_FIRINGS
 from pmdnet.trainer import checkpoint_load, checkpoint_save
 
 from test_trainer import read_header, rewrite_header
@@ -191,7 +192,34 @@ def test_bound_oracle_pass_and_reduced_case(capsys):
 
 def test_bound_oracle_enumeration_guard(capsys):
     assert main(["bound-oracle", "--nodes", "101", "--firings", "3"]) == 2
-    capsys.readouterr()
+    err = capsys.readouterr().err
+    assert err == f"error: tuple space M^n = 101^3 exceeds the {ENUMERATION_GUARD:,} enumeration guard\n"
+
+
+@pytest.mark.parametrize("nodes, firings", [(1, 70), (1, 10**9), (2, MAX_FIRINGS + 1)])
+def test_bound_oracle_refuses_too_many_firings(capsys, nodes, firings):
+    # --nodes 1 makes M^n = 1, which the tuple guard alone would let through
+    assert main(["bound-oracle", "--nodes", str(nodes), "--firings", str(firings)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: --firings {firings} exceeds {MAX_FIRINGS},")
+    assert captured.err.count("\n") == 1
+
+
+# The lines bound-oracle printed when it enumerated with (T, dim) arrays.
+ORACLE_GOLDEN = {
+    (): ["D  = 1.181267145115", "D1 = 0.595219120087", "D2 = 0.591466516536",
+         "D3 = 0.005418491508", "decomposition residual |D - (D1+D2-D3)| = 0.000e+00", "PASS"],
+    ("--nodes", "20", "--firings", "4", "--samples", "20", "--dim", "4", "--seed", "0"):
+        ["D  = 2.112844851123", "D1 = 0.554163747345", "D2 = 1.644566324083",
+         "D3 = 0.085885220304", "decomposition residual |D - (D1+D2-D3)| = 1.332e-15", "PASS"],
+}
+
+
+@pytest.mark.parametrize("args", list(ORACLE_GOLDEN))
+def test_bound_oracle_prints_pinned_lines(capsys, args):
+    assert main(["bound-oracle", *args]) == 0
+    assert capsys.readouterr().out.splitlines() == ORACLE_GOLDEN[args]
 
 
 def test_phase_outputs(tmp_path, capsys):

@@ -1,11 +1,16 @@
 """Distortion functionals, the exact decomposition oracle, stationarity."""
 
+import math
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from pmdnet.activation import NodeParams, activities
 from pmdnet.lattice import LatticeConfig, get_lattice
 from pmdnet.objective import (
+    ENUMERATION_GUARD,
+    MAX_FIRINGS,
     SampleSet,
     StationaritySolveError,
     bound_from_posterior,
@@ -16,6 +21,7 @@ from pmdnet.objective import (
     stationary_form_value,
 )
 
+from oracle_exact import exact_distortion
 from oracle_expanded import expanded_quantities, random_instance
 
 
@@ -162,6 +168,84 @@ def test_exact_enumeration_guard():
     post = np.full((2, 101), 1 / 101)
     with pytest.raises(ValueError):
         compute_D_exact(samples, post, n=3)  # 101^3 > 1e6
+
+
+def test_exact_firings_guard_holds_at_one_node():
+    # at M = 1, M^n = 1 passes the tuple guard for any n; n itself is capped
+    assert 2**MAX_FIRINGS <= ENUMERATION_GUARD < 2 ** (MAX_FIRINGS + 1)
+    samples = SampleSet(vectors=np.zeros((2, 1)))
+    post = np.ones((2, 1))
+    assert compute_D_exact(samples, post, n=MAX_FIRINGS).distortion == 0.0
+    for n in (MAX_FIRINGS + 1, 70, 10**9):
+        with pytest.raises(ValueError, match=f"n = {n} exceeds {MAX_FIRINGS}"):
+            compute_D_exact(samples, post, n=n)
+    with pytest.raises(ValueError, match="n must be >= 1"):
+        compute_D_exact(samples, post, n=0)
+
+
+def exact_instance(seed, s, m, dim, zero_node=None):
+    """Samples in [-1, 1]^dim and a posterior; a zero column leaves every
+    tuple through that node unattached."""
+    rng = np.random.default_rng(seed)
+    x = rng.uniform(-1.0, 1.0, (s, dim))
+    raw = rng.uniform(0.1, 1.0, (s, m))
+    if zero_node is not None:
+        raw[:, zero_node] = 0.0
+    return SampleSet(vectors=x), raw / raw.sum(axis=1, keepdims=True)
+
+
+def test_exact_matches_literal_per_tuple_oracle():
+    rng = np.random.default_rng(21)
+    max_nodes = {1: 9, 2: 9, 3: 4, 4: 3}  # M^n <= 81
+    for trial in range(36):
+        dim, n = 1 + trial % 9, 1 + trial // 9
+        m = int(rng.integers(1, max_nodes[n] + 1))
+        zero_node = int(rng.integers(m)) if m > 1 and trial % 3 == 0 else None
+        samples, post = exact_instance([21, trial], int(rng.integers(1, 7)), m, dim, zero_node)
+        got = compute_D_exact(samples, post, n=n)
+        want = exact_distortion(samples.vectors.tolist(), post.tolist(), n)
+        for name, g, w in zip(("D", "D1", "D2", "D3"), got, want):
+            # pieces that vanish in exact arithmetic (D3 at n = 1 or M = 1,
+            # D2 at S = 1) are rounding-level, far below 1e-28 on [-1, 1]
+            assert math.isclose(g, w, rel_tol=1e-12, abs_tol=1e-28), (trial, name, g, w)
+
+
+# (seed, S, M, n, dim, zero node, float.hex of (D, D1, D2, D3)), recorded
+# from the (T, dim) rendering of the enumeration; dim < 8 keeps every row
+# sum sequential, so the component-major one must agree bit for bit.
+EXACT_PINNED = [
+    (11, 6, 3, 2, 1, None, ('0x1.8ebae036367cap-1', '0x1.95abb09b3b702p-2',
+                            '0x1.8fa3a56e169d5p-2', '0x1.f665673945033p-8')),
+    (12, 5, 4, 3, 3, 1, ('0x1.e1d78af178a3cp+0', '0x1.5805fe69316bcp-1',
+                         '0x1.4d3f3d956d1d7p+0', '0x1.76ab1d88d2fabp-4')),
+    (13, 4, 3, 4, 7, None, ('0x1.9f5024a64f28fp+1', '0x1.035359a3a0472p+0',
+                            '0x1.668cd6e77defdp+1', '0x1.23997c4bfba9ap-1')),
+    (14, 20, 5, 2, 4, 0, ('0x1.46639e28c6124p+1', '0x1.4a2693b663f31p+0',
+                          '0x1.46c50565b0d53p+0', '0x1.091732a228e01p-6')),
+    (15, 9, 2, 4, 5, 1, ('0x1.895aefbccf4dbp+1', '0x1.895aefbccf4dap-1',
+                         '0x1.270433cd9b7a4p+1', '0x1.a080000000002p-106')),
+]
+
+
+@pytest.mark.parametrize("seed, s, m, n, dim, zero_node, pinned", EXACT_PINNED)
+def test_exact_values_are_pinned_bitwise(seed, s, m, n, dim, zero_node, pinned):
+    samples, post = exact_instance(seed, s, m, dim, zero_node)
+    got = compute_D_exact(samples, post, n=n)
+    assert [v.hex() for v in got] == list(pinned)
+
+
+def test_exact_enumeration_memory_is_component_major():
+    # the bench instance: 20^4 tuples at dim 4; a (T, dim) temporary per
+    # step would need several dim-wide arrays, this bound allows about two
+    m, n, dim = 20, 4, 4
+    samples, post = exact_instance([0, 5], 20, m, dim)
+    tracemalloc.start()
+    try:
+        compute_D_exact(samples, post, n=n)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= (2 * dim + 6) * m**n * 8
 
 
 def test_exact_joint_anticorrelated_negative_d2():
