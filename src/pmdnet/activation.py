@@ -88,7 +88,9 @@ def localized_posterior_entries(q: np.ndarray, lattice: Lattice) -> np.ndarray:
 
 def localized_posterior_rows(q: np.ndarray, lattice: Lattice):
     """All localized posteriors as a sparse CSR matrix P with
-    P[y', y] = Pr(y|x; y') on row support N(y').  Rows sum to 1."""
+    P[y', y] = Pr(y|x; y') on row support N(y').  Rows sum to 1.  The one function
+    that imports scipy.sparse (lazily); kept for the tests and the bench's tracer,
+    no command calls it."""
     from scipy import sparse
 
     layout = lattice.nbr

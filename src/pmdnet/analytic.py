@@ -64,14 +64,14 @@ def _split_factor(n: float) -> float:
     return 4.0 * n / (n + 1.0)
 
 
-def _check_n(n: float) -> None:
+def check_n(n: float) -> None:
     if not (n >= 1.0):
         raise ValueError(f"need n >= 1 (or inf), got {n}")
 
 
 def solution_value(stype: SolutionType, m: float, n: float) -> float:
     """Objective value (constant omitted) of one candidate configuration."""
-    _check_n(n)
+    check_n(n)
     if stype is SolutionType.SINGLE:
         return -2.0 * radius_gyration(m)
     if stype is SolutionType.JOINT:
@@ -116,7 +116,7 @@ def stationary_scale(stype: SolutionType, n: float, attached_subspace: int = 1) 
     node serving one subspace of a split population amplifies it by
     2n/(n+1) (limit 2).
     """
-    _check_n(n)
+    check_n(n)
     if attached_subspace not in (1, 2):
         raise ValueError(f"attached_subspace must be 1 or 2, got {attached_subspace}")
     if stype is SolutionType.JOINT:

@@ -39,7 +39,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .activation import DegenerateActivityError, NodeParams
-from .analytic import describe_crossovers, phase_diagram, value_table
+from .analytic import check_n, describe_crossovers, phase_diagram, value_table
 from .datagen import TrainingConfig, validate_kappa
 from .gradients import FD_TOL, finite_difference_check
 from .lattice import LatticeConfig, get_lattice
@@ -348,9 +348,11 @@ def _parse_n_list(text: str) -> list[float]:
         if not token:
             continue
         try:
-            values.append(float(token))
+            n = float(token)
         except ValueError as exc:
             raise ConfigError(f"bad n value {token!r}") from exc
+        check_n(n)  # every n before any table is written
+        values.append(n)
     if not values:
         raise ConfigError("empty n list")
     return values
@@ -474,6 +476,9 @@ def main(argv=None) -> int:
     except DegenerateActivityError as exc:
         # a ValueError, but raised by the state the run reached, not by its config
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_CHECK_FAILED
+    except MemoryError as exc:
+        print(f"error: out of memory: {str(exc) or 'an allocation was refused'}", file=sys.stderr)
         return EXIT_CHECK_FAILED
     except FileNotFoundError as exc:
         print(f"error: {exc}", file=sys.stderr)

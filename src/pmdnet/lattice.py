@@ -16,18 +16,46 @@ built once per Lattice and frozen: the neighbourhood layout N (M x M), the
 window layout W (M x D) and the leakage L (M x M, with its weights).  A
 layout applies A v and A^T u in one kernel call each, with its stored
 entries or with entries passed in per call (the posterior P is N with the
-entries of one input).
+entries of one input).  Its kernels are loaded without the scipy.sparse package.
 """
 
 from __future__ import annotations
 
+import importlib.machinery
+import importlib.util
+import os
+import sys
 from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.sparse import _sparsetools  # private: the kernels behind scipy's own sparse products
+import scipy
 
 from .schema import check_field_types
+
+
+def _load_sparsetools(directory: str):
+    """scipy's private sparse-kernel extension, loaded from its file in directory
+    without the scipy.sparse package (about 0.2 s of imports).  Registered under
+    its own name, and reused from there, so scipy.sparse shares the one module."""
+    name = "scipy.sparse._sparsetools"
+    if name in sys.modules:
+        return sys.modules[name]
+    for suffix in importlib.machinery.EXTENSION_SUFFIXES:
+        path = os.path.join(directory, "_sparsetools" + suffix)
+        if os.path.isfile(path):
+            break
+    else:
+        raise ImportError(f"scipy {scipy.__version__} has no _sparsetools extension in {directory}; "
+                          f"pmdnet needs scipy>=1.10,<1.18")
+    spec = importlib.util.spec_from_file_location(name, path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    sys.modules[name] = module
+    return module
+
+
+_sparsetools = _load_sparsetools(os.path.join(os.path.dirname(scipy.__file__), "sparse"))
 
 NodeIndex = tuple[int, int]
 

@@ -588,6 +588,27 @@ def test_phase_refuses_bad_grids(tmp_path, capsys, argv, flag):
     assert len(err) == 1 and err[0].startswith("error: ") and flag in err[0]
 
 
+@pytest.mark.parametrize("n_list, bad", [("1,0.5", "0.5"), ("1,nan", "nan"), ("1,2,-inf", "-inf")])
+def test_phase_refuses_a_bad_n_before_writing(tmp_path, capsys, n_list, bad):
+    out = tmp_path / "phase"
+    assert main(["phase", "--n-list", n_list, "--out-dir", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == [f"error: need n >= 1 (or inf), got {bad}"]
+    assert not out.exists() or not any(out.iterdir())
+
+
+def test_out_of_memory_exits_1_with_one_line(capsys, monkeypatch):
+    def refused(cfg):
+        raise MemoryError("Unable to allocate 298. GiB for an array")
+
+    monkeypatch.setattr(cli, "get_lattice", refused)
+    assert main(["gradcheck"]) == cli.EXIT_CHECK_FAILED == 1
+    err = capsys.readouterr().err
+    assert err.splitlines() == ["error: out of memory: Unable to allocate 298. GiB for an array"]
+    assert "Traceback" not in err
+
+
 def test_phase_point_limit_is_the_grid_length(tmp_path, capsys, monkeypatch):
     monkeypatch.setattr(cli, "PHASE_MAX_POINTS", 5)
     grid = ["phase", "--out-dir", str(tmp_path), "--m-min", "2", "--m-step", "1", "--n-list", "1"]

@@ -1,11 +1,18 @@
 """Geometry: windows, neighbourhoods, leakage."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
+import scipy
 from hypothesis import given, settings
 from hypothesis import strategies as st_
 from scipy import sparse
 
+from pmdnet import lattice
 from pmdnet.lattice import (
     Lattice,
     LatticeConfig,
@@ -312,3 +319,50 @@ def test_layouts_refuse_wrong_sizes():
         lat.nbr.rmatvec(lat.ones, np.ones(len(lat.nbr.indices) + 1))
     with pytest.raises(ValueError, match="entries"):
         lat.win.rmatvec(lat.ones)  # W stores no entries
+
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+# P v and P^T u on the stripe through scipy's public CSR product, bitwise
+SAME_PRODUCTS = """
+import numpy as np
+from scipy import sparse
+lat = lattice.get_lattice(lattice.LatticeConfig((1, 100), (1, 41), (1, 21), (1, 15)))
+rng = np.random.default_rng(0)
+post, v, u = rng.standard_normal(len(lat.nbr.indices)), rng.standard_normal(100), rng.standard_normal(100)
+a = sparse.csr_array((post, lat.nbr.indices, lat.nbr.indptr), shape=lat.nbr.shape)
+assert lat.nbr.matvec(v, post).tobytes() == (a @ v).tobytes()
+assert lat.nbr.rmatvec(u, post).tobytes() == (a.T @ u).tobytes()
+"""
+
+
+def run_fresh(script):
+    """Run script in a new interpreter; this process has scipy.sparse loaded."""
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          timeout=120, env={**os.environ, "PYTHONPATH": str(SRC)})
+    assert proc.returncode == 0, proc.stderr
+
+
+def test_cli_import_leaves_scipy_sparse_unloaded():
+    # a later scipy.sparse import then shares the registered kernels
+    run_fresh("import sys\nimport pmdnet.cli\nfrom pmdnet import lattice\n"
+              "assert 'scipy.sparse' not in sys.modules\n"
+              "assert sys.modules['scipy.sparse._sparsetools'] is lattice._sparsetools\n"
+              "from scipy.sparse import _sparsetools\n"
+              "assert _sparsetools is lattice._sparsetools\n" + SAME_PRODUCTS)
+
+
+def test_scipy_sparse_imported_first_is_reused():
+    run_fresh("from scipy.sparse import _sparsetools\nfrom pmdnet import lattice\n"
+              "assert _sparsetools is lattice._sparsetools\n" + SAME_PRODUCTS)
+
+
+def test_loader_reuses_a_registered_module(monkeypatch, tmp_path):
+    registered = object()
+    monkeypatch.setitem(sys.modules, "scipy.sparse._sparsetools", registered)
+    assert lattice._load_sparsetools(str(tmp_path)) is registered
+
+
+def test_missing_kernels_name_the_scipy_version_and_pin(monkeypatch, tmp_path):
+    monkeypatch.delitem(sys.modules, "scipy.sparse._sparsetools")
+    with pytest.raises(ImportError, match=rf"scipy {scipy.__version__} .*<1\.18"):
+        lattice._load_sparsetools(str(tmp_path))
