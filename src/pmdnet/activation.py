@@ -1,11 +1,12 @@
-"""Node activities and posterior probability constructions.
+"""Node activities and localized posteriors: the first layers of
+objective.forward.
 
 The activity Q(x|y) of node y is a sigmoid of w(y) . x + b(y) evaluated on
 the node's input window.  The localized posterior Pr(y|x; y') normalises
 the activities over one neighbourhood window N(y'); its entries are kept in
-the lattice's neighbourhood layout.  The scalable partitioned posterior
-averages the localized posteriors of all windows containing y.  The leaked
-posterior, L^T applied to it, is formed in objective.forward.
+the lattice's neighbourhood layout.  The partitioned posterior (the mass
+each node collects from the windows containing it) and the leaked posterior
+are formed in objective.forward.
 """
 
 from __future__ import annotations
@@ -20,8 +21,9 @@ from .lattice import Lattice
 class DegenerateActivityError(ValueError):
     """Raised when a posterior denominator is zero (all activity dead).
 
-    Cannot happen with sigmoid activities, which are strictly positive;
-    threshold activities can trigger it.
+    A sigmoid is positive in exact arithmetic, but not in float64: below a
+    logit of about -745 exp underflows and stable_sigmoid returns exactly 0,
+    so a neighbourhood whose logits are all that negative has no activity.
     """
 
 
@@ -61,11 +63,10 @@ def stable_sigmoid(z):
     return out if out.ndim else float(out)
 
 
-def activities(x: np.ndarray, lattice: Lattice, params: NodeParams) -> np.ndarray:
-    """Sigmoid activities of all nodes for one input vector, shape (M,)."""
-    xw = lattice.gather(x)
-    logits = np.einsum("ij,ij->i", params.weights, xw) + params.biases
-    return stable_sigmoid(logits)
+def activities(x_windows: np.ndarray, params: NodeParams) -> np.ndarray:
+    """Sigmoid activities of all nodes, shape (M,), from one input's
+    windowed view x_windows (M, K) = lattice.gather(x)."""
+    return stable_sigmoid(np.einsum("ij,ij->i", params.weights, x_windows) + params.biases)
 
 
 def window_denominators(q: np.ndarray, lattice: Lattice) -> np.ndarray:
@@ -97,15 +98,4 @@ def localized_posterior_rows(q: np.ndarray, lattice: Lattice):
     return sparse.csr_array(
         (localized_posterior_entries(q, lattice), layout.indices, layout.indptr), shape=layout.shape
     )
-
-
-def pmd_posterior(q: np.ndarray, lattice: Lattice) -> np.ndarray:
-    """Scalable partitioned posterior.
-
-    Pr(y|x) = (1/M) * sum over y' in the inverse neighbourhood of y of
-    Pr(y|x; y').  Sums to 1 exactly because each localized posterior
-    contributes total mass 1 and there are M of them.
-    """
-    post = localized_posterior_entries(q, lattice)
-    return lattice.nbr.rmatvec(lattice.ones, post) / lattice.num_nodes
 

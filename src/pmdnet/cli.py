@@ -352,6 +352,8 @@ def _parse_n_list(text: str) -> list[float]:
         except ValueError as exc:
             raise ConfigError(f"bad n value {token!r}") from exc
         check_n(n)  # every n before any table is written
+        if n in values:  # 2 and 2.0 would write values_n2.csv twice
+            raise ConfigError(f"n = {n:g} is given more than once")
         values.append(n)
     if not values:
         raise ConfigError("empty n list")

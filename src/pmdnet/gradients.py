@@ -159,10 +159,6 @@ class FDReport:
     def max_rel_error(self) -> float:
         return max((e.rel_error for e in self.entries), default=0.0)
 
-    @property
-    def worst(self) -> FDEntry | None:
-        return max(self.entries, key=lambda e: e.rel_error, default=None)
-
     def passed(self) -> bool:
         return self.max_rel_error <= FD_TOL
 

@@ -100,45 +100,6 @@ class LatticeConfig:
         return self.node_dims[0] * self.node_dims[1]
 
 
-def _check_node(cfg: LatticeConfig, y) -> NodeIndex:
-    y1, y2 = int(y[0]), int(y[1])
-    m1, m2 = cfg.node_dims
-    if not (0 <= y1 < m1 and 0 <= y2 < m2):
-        raise IndexError(f"node {(y1, y2)} outside lattice {cfg.node_dims}")
-    return y1, y2
-
-
-def _clipped_range(centre: int, half: int, size: int) -> range:
-    return range(max(0, centre - half), min(size - 1, centre + half) + 1)
-
-
-def neighbourhood(cfg: LatticeConfig, y: NodeIndex) -> set[NodeIndex]:
-    """Top-hat window centred on y, intersected with the node array.
-
-    Never empty: always contains y itself.
-    """
-    y1, y2 = _check_node(cfg, y)
-    h1 = (cfg.neighbourhood_window[0] - 1) // 2
-    h2 = (cfg.neighbourhood_window[1] - 1) // 2
-    m1, m2 = cfg.node_dims
-    return {
-        (z1, z2)
-        for z1 in _clipped_range(y1, h1, m1)
-        for z2 in _clipped_range(y2, h2, m2)
-    }
-
-
-def input_window(cfg: LatticeConfig, y: NodeIndex) -> tuple[slice, slice]:
-    """Index ranges of node y's input window in the padded input array.
-
-    The window extent is always exactly input_window; padding guarantees it
-    never clips.  Returned as half-open slices.
-    """
-    y1, y2 = _check_node(cfg, y)
-    i1, i2 = cfg.input_window
-    return slice(y1, y1 + i1), slice(y2, y2 + i2)
-
-
 def _window_csr(node_dims, window) -> tuple[np.ndarray, np.ndarray]:
     """CSR structure (indptr, indices) of truncated top-hat windows.
 
@@ -244,9 +205,9 @@ def build_leakage(cfg: LatticeConfig) -> LeakageMatrix:
 class Lattice:
     """Precomputed geometry used by the hot paths.
 
-    Everything here is derived from the functional definitions above (tests
-    cross-check both routes) and every array is read-only after
-    construction.
+    Every array is read-only after construction.  The tests cross-check it
+    against per-node reference geometry (neighbourhood sets and input-window
+    slices) kept in tests/helpers.py.
 
     Attributes:
         cfg          the LatticeConfig
@@ -296,10 +257,6 @@ class Lattice:
     def input_size(self) -> int:
         d1, d2 = self.cfg.input_dims
         return d1 * d2
-
-    def flat(self, y: NodeIndex) -> int:
-        y1, y2 = _check_node(self.cfg, y)
-        return y1 * self.cfg.node_dims[1] + y2
 
     def coords(self, flat: int) -> NodeIndex:
         m2 = self.cfg.node_dims[1]

@@ -20,7 +20,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .activation import NodeParams, localized_posterior_entries, stable_sigmoid
+from .activation import NodeParams, activities, localized_posterior_entries
 from .lattice import Lattice
 
 ENUMERATION_GUARD = 1_000_000
@@ -82,29 +82,6 @@ def _check_posterior(samples: SampleSet, posterior: np.ndarray) -> np.ndarray:
     return post
 
 
-def ref_vectors_from_posterior(
-    samples: SampleSet, posterior: np.ndarray, lattice: Lattice | None = None
-) -> tuple[np.ndarray, np.ndarray]:
-    """Bayes-centroid reference vectors under the empirical measure.
-
-    x'(y) = sum_x Pr(y|x) x / sum_x Pr(y|x).  Nodes with zero total
-    responsibility are flagged unattached and get a zero vector.  When a
-    lattice is given the centroids are projected onto each node's input
-    window (components outside are set to zero).
-
-    Returns (ref_vectors (M, D), attached (M,) bool).
-    """
-    post = _check_posterior(samples, posterior)
-    mass = post.sum(axis=0)
-    attached = mass > 0.0
-    ref = np.zeros((post.shape[1], samples.dim))
-    num = post.T @ samples.vectors
-    ref[attached] = num[attached] / mass[attached, None]
-    if lattice is not None:
-        ref = lattice.scatter_rows(ref[np.arange(lattice.num_nodes)[:, None], lattice.win_idx])
-    return ref, attached
-
-
 def bound_from_posterior(
     samples: SampleSet, posterior: np.ndarray, ref_vectors: np.ndarray, n: float
 ) -> BoundValue:
@@ -153,7 +130,7 @@ class Forward:
 def forward(x: np.ndarray, lattice: Lattice, params: NodeParams) -> Forward:
     """Activities, posterior, leaked weights and residuals for one input."""
     xw = lattice.gather(x)
-    q = stable_sigmoid(np.einsum("ij,ij->i", params.weights, xw) + params.biases)
+    q = activities(xw, params)
     post = localized_posterior_entries(q, lattice)
     p = lattice.nbr.rmatvec(lattice.ones, post)
     rho = lattice.leakage.apply_transpose(p)

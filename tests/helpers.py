@@ -1,17 +1,64 @@
 """Helpers used only by the tests.
 
-Readable per-node forms of quantities that the package computes in bulk,
-dense renderings of its fixed operators, and the sample-set normalisation
-that the online trainer replaces by a fixed analytic map.
+Readable per-node forms of quantities that the package computes in bulk:
+the reference geometry (neighbourhood sets, input-window slices, flat node
+indices) that the Lattice's fixed layouts are checked against, the
+posteriors and the Bayes-centroid reference vectors.  Also dense renderings
+of the package's fixed operators, and the sample-set normalisation that the
+online trainer replaces by a fixed analytic map.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from pmdnet.activation import DegenerateActivityError, stable_sigmoid
-from pmdnet.lattice import neighbourhood
-from pmdnet.objective import SampleSet
+from pmdnet.activation import DegenerateActivityError, localized_posterior_entries, stable_sigmoid
+from pmdnet.objective import SampleSet, _check_posterior
+
+
+def _check_node(cfg, y) -> tuple[int, int]:
+    y1, y2 = int(y[0]), int(y[1])
+    m1, m2 = cfg.node_dims
+    if not (0 <= y1 < m1 and 0 <= y2 < m2):
+        raise IndexError(f"node {(y1, y2)} outside lattice {cfg.node_dims}")
+    return y1, y2
+
+
+def _clipped_range(centre: int, half: int, size: int) -> range:
+    return range(max(0, centre - half), min(size - 1, centre + half) + 1)
+
+
+def neighbourhood(cfg, y) -> set:
+    """Top-hat window centred on y, intersected with the node array.
+
+    Never empty: always contains y itself.
+    """
+    y1, y2 = _check_node(cfg, y)
+    h1 = (cfg.neighbourhood_window[0] - 1) // 2
+    h2 = (cfg.neighbourhood_window[1] - 1) // 2
+    m1, m2 = cfg.node_dims
+    return {
+        (z1, z2)
+        for z1 in _clipped_range(y1, h1, m1)
+        for z2 in _clipped_range(y2, h2, m2)
+    }
+
+
+def input_window(cfg, y) -> tuple[slice, slice]:
+    """Index ranges of node y's input window in the padded input array.
+
+    The window extent is always exactly input_window; padding guarantees it
+    never clips.  Returned as half-open slices.
+    """
+    y1, y2 = _check_node(cfg, y)
+    i1, i2 = cfg.input_window
+    return slice(y1, y1 + i1), slice(y2, y2 + i2)
+
+
+def flat(lattice, y) -> int:
+    """Row-major flat index of node y, the inverse of lattice.coords."""
+    y1, y2 = _check_node(lattice.cfg, y)
+    return y1 * lattice.cfg.node_dims[1] + y2
 
 
 def dense_operator(layout, data=None) -> np.ndarray:
@@ -73,11 +120,45 @@ def localized_posterior(q: np.ndarray, lattice, y_prime) -> dict:
     """Posterior restricted to the neighbourhood of y':
     Pr(y|x; y') = Q(y) / sum over N(y') of Q, supported on N(y') only."""
     q = np.asarray(q, dtype=float)
-    row = nbr_row(lattice, lattice.flat(y_prime))
+    row = nbr_row(lattice, flat(lattice, y_prime))
     total = q[row].sum()
     if total <= 0.0:
         raise DegenerateActivityError(f"neighbourhood of node {tuple(y_prime)} has zero activity")
     return {lattice.coords(z): float(q[z] / total) for z in row}
+
+
+def pmd_posterior(q: np.ndarray, lattice) -> np.ndarray:
+    """Scalable partitioned posterior.
+
+    Pr(y|x) = (1/M) * sum over y' in the inverse neighbourhood of y of
+    Pr(y|x; y').  Sums to 1 exactly because each localized posterior
+    contributes total mass 1 and there are M of them.
+    """
+    post = localized_posterior_entries(q, lattice)
+    return lattice.nbr.rmatvec(lattice.ones, post) / lattice.num_nodes
+
+
+def ref_vectors_from_posterior(
+    samples: SampleSet, posterior: np.ndarray, lattice=None
+) -> tuple[np.ndarray, np.ndarray]:
+    """Bayes-centroid reference vectors under the empirical measure.
+
+    x'(y) = sum_x Pr(y|x) x / sum_x Pr(y|x).  Nodes with zero total
+    responsibility are flagged unattached and get a zero vector.  When a
+    lattice is given the centroids are projected onto each node's input
+    window (components outside are set to zero).
+
+    Returns (ref_vectors (M, D), attached (M,) bool).
+    """
+    post = _check_posterior(samples, posterior)
+    mass = post.sum(axis=0)
+    attached = mass > 0.0
+    ref = np.zeros((post.shape[1], samples.dim))
+    num = post.T @ samples.vectors
+    ref[attached] = num[attached] / mass[attached, None]
+    if lattice is not None:
+        ref = lattice.scatter_rows(ref[np.arange(lattice.num_nodes)[:, None], lattice.win_idx])
+    return ref, attached
 
 
 class DegenerateDataError(ValueError):

@@ -10,7 +10,7 @@ import time
 import numpy as np
 import pytest
 
-from pmdnet.activation import NodeParams, localized_posterior_rows, pmd_posterior
+from pmdnet.activation import NodeParams, localized_posterior_rows
 from pmdnet.analytic import SolutionType, optimal_type, solution_value
 from pmdnet.cli import main
 from pmdnet.datagen import TrainingConfig
@@ -32,7 +32,7 @@ from pmdnet.trainer import (
     run_training,
 )
 
-from helpers import dense_operator, kernels
+from helpers import dense_operator, kernels, pmd_posterior
 from oracle_expanded import expanded_quantities, random_instance
 
 STRIPE_LATTICE = LatticeConfig(node_dims=(1, 100), input_window=(1, 41),

@@ -10,13 +10,13 @@ from pmdnet.activation import (
     NodeParams,
     activities,
     localized_posterior_rows,
-    pmd_posterior,
     stable_sigmoid,
     window_denominators,
 )
 from pmdnet.lattice import LatticeConfig, build_leakage, get_lattice
+from pmdnet.objective import forward
 
-from helpers import activity_sigmoid, dense_operator, localized_posterior, simple_posterior
+from helpers import activity_sigmoid, dense_operator, localized_posterior, pmd_posterior, simple_posterior
 
 
 def cfg_1d(m, w, i=1, l=1):
@@ -38,6 +38,18 @@ def test_sigmoid_saturation_no_overflow():
     assert vals[0] == 0.0 or vals[0] < 1e-300
     assert vals[-1] == 1.0
     assert np.all(np.isfinite(vals))
+
+
+def test_sigmoid_underflow_leaves_a_neighbourhood_dead():
+    # below a logit of about -745 exp underflows and the sigmoid reads
+    # exactly 0, so the forward pass meets a zero posterior denominator
+    lat = get_lattice(LatticeConfig((1, 8), (1, 5), (1, 3), (1, 3)))
+    params = NodeParams(weights=np.zeros((8, 5)), biases=np.full(8, -800.0),
+                        ref_vectors=np.zeros((8, 5)))
+    x = np.zeros(lat.input_size)
+    assert not activities(lat.gather(x), params).any()
+    with pytest.raises(DegenerateActivityError, match="has zero activity"):
+        forward(x, lat, params)
 
 
 def test_sigmoid_log3_value():
@@ -178,7 +190,7 @@ def test_activities_match_per_node_evaluation():
                         biases=rng.normal(size=6),
                         ref_vectors=np.zeros((6, 9)))
     x = rng.uniform(-1, 1, lat.input_size)
-    got = activities(x, lat, params)
+    got = activities(lat.gather(x), params)
     wins = lat.gather(x)
     for k in range(6):
         expect = activity_sigmoid(wins[k], params.weights[k], params.biases[k])

@@ -588,13 +588,18 @@ def test_phase_refuses_bad_grids(tmp_path, capsys, argv, flag):
     assert len(err) == 1 and err[0].startswith("error: ") and flag in err[0]
 
 
-@pytest.mark.parametrize("n_list, bad", [("1,0.5", "0.5"), ("1,nan", "nan"), ("1,2,-inf", "-inf")])
-def test_phase_refuses_a_bad_n_before_writing(tmp_path, capsys, n_list, bad):
+@pytest.mark.parametrize("n_list, message", [
+    pytest.param("1,0.5", "need n >= 1 (or inf), got 0.5", id="1,0.5-0.5"),
+    pytest.param("1,nan", "need n >= 1 (or inf), got nan", id="1,nan-nan"),
+    pytest.param("1,2,-inf", "need n >= 1 (or inf), got -inf", id="1,2,-inf--inf"),
+    pytest.param("2,2.0,1", "n = 2 is given more than once", id="2,2.0,1-2"),
+])
+def test_phase_refuses_a_bad_n_before_writing(tmp_path, capsys, n_list, message):
     out = tmp_path / "phase"
     assert main(["phase", "--n-list", n_list, "--out-dir", str(out)]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err.splitlines() == [f"error: need n >= 1 (or inf), got {bad}"]
+    assert captured.err.splitlines() == [f"error: {message}"]
     assert not out.exists() or not any(out.iterdir())
 
 

@@ -18,11 +18,9 @@ from pmdnet.lattice import (
     LatticeConfig,
     build_leakage,
     get_lattice,
-    input_window,
-    neighbourhood,
 )
 
-from helpers import dense_operator, inverse_neighbourhood, nbr_row
+from helpers import dense_operator, flat, input_window, inverse_neighbourhood, nbr_row, neighbourhood
 from oracle_expanded import leakage_dense, nbr, node_list
 
 STRIPE_1D = LatticeConfig(
@@ -191,7 +189,7 @@ def test_lattice_neighbour_rows_match_sets():
     lat = get_lattice(cfg)
     for i in range(3):
         for j in range(5):
-            k = lat.flat((i, j))
+            k = flat(lat, (i, j))
             got = {lat.coords(f) for f in nbr_row(lat, k)}
             assert got == neighbourhood(cfg, (i, j))
 

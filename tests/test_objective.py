@@ -16,11 +16,11 @@ from pmdnet.objective import (
     bound_from_posterior,
     compute_D1_D2,
     compute_D_exact,
-    ref_vectors_from_posterior,
     solve_stationary_refvectors,
     stationary_form_value,
 )
 
+from helpers import ref_vectors_from_posterior
 from oracle_exact import exact_distortion
 from oracle_expanded import expanded_quantities, random_instance
 
@@ -394,7 +394,7 @@ def test_stationary_form_matches_model_objective_on_common_support():
     samples = SampleSet(vectors=x)
 
     params = NodeParams(weights=weights, biases=biases, ref_vectors=np.zeros((4, 7)))
-    post = np.stack([activities(v, lat, params) for v in x])
+    post = np.stack([activities(lat.gather(v), params) for v in x])
     post /= post.sum(axis=1, keepdims=True)
 
     n = 3.0

@@ -73,3 +73,18 @@ def test_verify_passes_repeat_and_time_their_evaluations(tmp_path):
         fingerprints.append(res.fingerprint)
     assert fingerprints[0] == fingerprints[1]
     assert tracer.durations("objective.compute_D1_D2")
+
+
+def test_verify_pass_traces_the_activity_layer(tmp_path):
+    # objective.forward calls activation.activities, so the bench's
+    # activities metric reads the real activity layer
+    pm = program()
+    workloads = load_perfbench("workloads")
+    tracer = load_perfbench("tracing").Tracer(pmdnet, "test", only=("activation.activities",))
+    tracer.install()
+    try:
+        res = workloads.verify_pass(pm, 0, str(tmp_path), lambda part: tracer.begin(part or 0))
+    finally:
+        tracer.uninstall()
+    assert res.failed == 0, res.gates
+    assert tracer.durations("activation.activities")
