@@ -69,6 +69,16 @@ EXIT_INTERRUPTED = 130  # 128 + SIGINT, as a shell reports it
 # settings are not stored in a checkpoint, so a resume may change them too.
 RESUMABLE = ("training.updates", "training.epsilon", "run.seed_policy")
 
+# Bounds on the work one command takes on; a config over one exits 2 before
+# that work starts, as a lattice over lattice.LATTICE_MAX_CELLS does.
+GRADCHECK_MAX_NODES = 16
+# M values in one `pmdnet phase` grid; 116 000 took ~4 s per n value.
+PHASE_MAX_POINTS = 100_000
+# Held-out input cells, run.heldout_size * input size.  They are drawn one
+# vector at a time, measured at 16-21 bytes and 0.16-0.9 us per cell (40 x 40
+# and the stripe), so the bound is about 0.2 GB and up to ~9 s of drawing.
+HELDOUT_MAX_CELLS = 10_000_000
+
 
 class ConfigError(ValueError):
     """Invalid configuration content (unknown key, bad value, bad combination)."""
@@ -98,6 +108,10 @@ class RunConfig:
                              f"got {self.seed_policy!r}")
         if self.report_every < 0 or self.checkpoint_every < 0 or self.heldout_size < 1:
             raise ValueError("report_every/checkpoint_every must be >= 0 and heldout_size >= 1")
+        d = math.prod(self.lattice.input_dims)
+        if self.heldout_size * d > HELDOUT_MAX_CELLS:
+            raise ValueError(f"run.heldout_size * input size = {self.heldout_size:,} * {d:,} = "
+                             f"{self.heldout_size * d:,} cells exceeds the {HELDOUT_MAX_CELLS:,} bound")
 
 
 # The 1D stripe run: the paper's ocular-dominance experiment.
@@ -113,10 +127,6 @@ GRADCHECK_DEFAULTS = RunConfig(
                           neighbourhood_window=(1, 3), leakage_window=(1, 3)),
     training=TrainingConfig(kappa=0.3, nu=0.0, s=1, n=3, epsilon=0.002, seed=0, updates=0),
 )
-
-GRADCHECK_MAX_NODES = 16
-# M values in one `pmdnet phase` grid; 116 000 took ~4 s per n value.
-PHASE_MAX_POINTS = 100_000
 
 
 # Config file section -> key -> declared type.  Each dataclass field of
@@ -316,11 +326,11 @@ def cmd_train(args) -> int:
 def cmd_gradcheck(args) -> int:
     rc = load_run_config(args.config, args.override, args.seed,
                          defaults=DEFAULTS if args.config else GRADCHECK_DEFAULTS)
-    lattice = get_lattice(rc.lattice)
-    if lattice.num_nodes > GRADCHECK_MAX_NODES:
+    if rc.lattice.num_nodes > GRADCHECK_MAX_NODES:  # before the lattice is built
         raise ConfigError(
             f"gradcheck is limited to {GRADCHECK_MAX_NODES} nodes "
-            f"(finite differencing cost), config has {lattice.num_nodes}")
+            f"(finite differencing cost), config has {rc.lattice.num_nodes}")
+    lattice = get_lattice(rc.lattice)
     seed = rc.training.seed
     param_rng = np.random.default_rng([seed, 3])
     m, k = lattice.num_nodes, lattice.window_len

@@ -59,6 +59,13 @@ _sparsetools = _load_sparsetools(os.path.join(os.path.dirname(scipy.__file__), "
 
 NodeIndex = tuple[int, int]
 
+# Bound on a lattice's windowed size M * (K + N + L): M nodes times the
+# areas of the input, neighbourhood and leakage windows.  A 200 x 200
+# training run measured at most 84 bytes per cell (input-window cells; 48
+# per neighbourhood cell, 19 per leakage cell), so the bound holds a lattice
+# to about 0.84 GB.  The bench's 40 x 40 geometry has 248 000 cells.
+LATTICE_MAX_CELLS = 10_000_000
+
 
 @dataclass(frozen=True)
 class LatticeConfig:
@@ -70,7 +77,9 @@ class LatticeConfig:
     leakage_window       (l1, l2) odd extents of the leakage window
 
     The padded input array has extents node_dims + input_window - 1, so
-    every node's input window fits without truncation.
+    every node's input window fits without truncation.  The windowed size
+    M * (K + N + L), the nodes times the three window areas, may not exceed
+    LATTICE_MAX_CELLS.
     """
 
     node_dims: tuple[int, int]
@@ -87,6 +96,12 @@ class LatticeConfig:
                 raise ValueError(f"{name} extents must be odd positive integers, got {pair}")
         if any(v < 1 for v in self.node_dims):
             raise ValueError(f"node_dims must be positive, got {self.node_dims}")
+        m = self.num_nodes
+        areas = [a * b for a, b in (self.input_window, self.neighbourhood_window, self.leakage_window)]
+        if m * sum(areas) > LATTICE_MAX_CELLS:  # refused before anything is allocated
+            raise ValueError(f"lattice windowed size M * (K + N + L) = {m:,} * "
+                             f"({' + '.join(map(str, areas))}) = {m * sum(areas):,} cells "
+                             f"exceeds the {LATTICE_MAX_CELLS:,} bound")
 
     @property
     def input_dims(self) -> tuple[int, int]:

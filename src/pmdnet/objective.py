@@ -7,7 +7,9 @@ Two routes are implemented on purpose:
   per-input pass (forward) is the one the gradients build on;
 * brute-force oracles (compute_D_exact, bound_from_posterior) that evaluate
   the exact multiple-firing distortion and its upper-bound pieces for any
-  given posterior, used to verify the decomposition and stationarity.
+  given posterior, used to verify the decomposition and stationarity;
+  compute_D_exact runs one tuple enumeration, behind one set of input
+  checks, for independent firings and for an explicit pair joint alike.
 
 The input density is always an empirical uniform measure over a finite
 sample set, so every integral is a finite sum.
@@ -186,14 +188,18 @@ def compute_D_exact(
     Returns (distortion, d1, d2, d3) with distortion = d1 + d2 - d3 up to
     rounding and d3 >= 0.
 
-    The independent path is component-major: the tuple centroids are one
+    Both firing models run one enumeration, supplying only each sample's
+    tuple probabilities, single-firing marginal and coherent term d2, and
+    pass one set of input checks: every entry at least -1e-15, every row
+    summing to 1, n at most MAX_FIRINGS and M^n at most ENUMERATION_GUARD.
+
+    The enumeration is component-major: the tuple centroids are one
     (dim, T) array over the T = M^n tuples, and squared distances are
     summed into (T,) arrays one input component at a time, so memory is
     about dim + 5 doubles per tuple and no (T, dim) temporary is built.
     Components are added in order k = 0, 1, ..., which matches numpy's row
     sum of a (T, dim) array for dim < 8; from dim = 8 numpy sums a row
     pairwise, so a (T, dim) rendering may differ in the last bits.
-    n is at most MAX_FIRINGS and M^n at most ENUMERATION_GUARD.
     """
     x = samples.vectors
     s, dim = x.shape
@@ -201,31 +207,30 @@ def compute_D_exact(
         if n != 2:
             raise ValueError("explicit joint tables are supported for n = 2 only")
         jt = np.asarray(joint, dtype=float)
-        if jt.shape[0] != s or jt.shape[1] != jt.shape[2]:
+        if jt.ndim != 3 or jt.shape[0] != s or jt.shape[1] != jt.shape[2]:
             raise ValueError("joint must be (S, M, M)")
-        if np.any(jt < -1e-15):
-            raise ValueError("joint entries must be nonnegative")
         if not np.allclose(jt, np.swapaxes(jt, 1, 2), atol=1e-12):
             raise ValueError("joint must be symmetric in the firing slots")
-        if not np.allclose(jt.sum(axis=(1, 2)), 1.0, atol=1e-9):
-            raise ValueError("joint rows must sum to 1")
-        m = jt.shape[1]
-        mar1 = jt.sum(axis=2)
+        # a joint row read row-major already lists the M^2 pair
+        # probabilities, in the (a, b) order _tuple_probs gives at n = 2
+        name, table, mar1, factors = "joint", jt.reshape(s, -1), jt.sum(axis=2), 1
+    elif posterior is None:
+        raise ValueError("either posterior or joint is required")
     else:
-        if posterior is None:
-            raise ValueError("either posterior or joint is required")
-        post = _check_posterior(samples, posterior)
-        m = post.shape[1]
-        if not np.allclose(post.sum(axis=1), 1.0, atol=1e-9):
-            raise ValueError("posterior rows must sum to 1")
-        if n < 1:
-            raise ValueError("n must be >= 1")
-        if n > MAX_FIRINGS:
-            raise ValueError(f"n = {n} exceeds {MAX_FIRINGS}, the most firings the enumeration "
-                             f"guard {ENUMERATION_GUARD} admits at M = 2")
-        if m**n > ENUMERATION_GUARD:
-            raise ValueError(f"M^n = {m**n} exceeds enumeration guard {ENUMERATION_GUARD}")
-        mar1 = post
+        name, table, factors = "posterior", _check_posterior(samples, posterior), n
+        mar1 = table
+    m = mar1.shape[1]
+    if np.any(table < -1e-15):
+        raise ValueError(f"{name} entries must be nonnegative")
+    if not np.allclose(table.sum(axis=1), 1.0, atol=1e-9):
+        raise ValueError(f"{name} rows must sum to 1")
+    if n < 1:
+        raise ValueError("n must be >= 1")
+    if n > MAX_FIRINGS:
+        raise ValueError(f"n = {n} exceeds {MAX_FIRINGS}, the most firings the enumeration "
+                         f"guard {ENUMERATION_GUARD} admits at M = 2")
+    if m**n > ENUMERATION_GUARD:
+        raise ValueError(f"M^n = {m**n} exceeds enumeration guard {ENUMERATION_GUARD}")
 
     # single-firing Bayes centroids, zero where a node carries no mass
     pr_y = mar1.mean(axis=0)
@@ -239,35 +244,11 @@ def compute_D_exact(
         d1 += float(mar1[i] @ diff_sq)
     d1 *= 2.0 / (n * s)
 
-    if joint is not None:
-        # tuple-level centroids over ordered pairs
-        pr_t = jt.mean(axis=0)
-        num_t = np.einsum("sij,sd->ijd", jt, x) / s
-        ref_t = np.zeros((m, m, dim))
-        live_t = pr_t > 0.0
-        ref_t[live_t] = num_t[live_t] / pr_t[live_t, None]
-
-        d_total = 0.0
-        d2 = 0.0
-        for i in range(s):
-            diff = x[i][None, None, :] - ref_t
-            d_total += float((jt[i] * (diff**2).sum(axis=2)).sum())
-            dmat = x[i][None, :] - ref_y
-            d2 += float(np.einsum("ab,ad,bd->", jt[i], dmat, dmat))
-        d_total *= 2.0 / s
-        d2 *= 2.0 * (n - 1.0) / (n * s)
-
-        centroid_mean = 0.5 * (ref_y[:, None, :] + ref_y[None, :, :])
-        d3 = 2.0 * float((pr_t * ((ref_t - centroid_mean) ** 2).sum(axis=2)).sum())
-        return ExactBound(distortion=d_total, d1=d1, d2=d2, d3=d3)
-
-    # Component-major: every (T,) row below is one input component over all
-    # T = M^n tuples, so no (T, dim) temporary is built.
     t = m**n
     pr_t = np.zeros(t)
     ref_t = np.zeros((dim, t))  # numerators, then tuple centroids
     for i in range(s):
-        probs = _tuple_probs(post[i], n)
+        probs = _tuple_probs(table[i], factors)
         pr_t += probs / s
         for k in range(dim):
             ref_t[k] += probs * x[i, k] / s
@@ -282,9 +263,13 @@ def compute_D_exact(
         dist.fill(0.0)
         for k in range(dim):
             _add_square(dist, x[i, k] - ref_t[k])
-        d_total += float(_tuple_probs(post[i], n) @ dist)
-        resid = x[i] - post[i] @ ref_y
-        d2 += float(resid @ resid)
+        d_total += float(_tuple_probs(table[i], factors) @ dist)
+        if joint is None:  # ||x - sum_y p_y x'(y)||^2
+            resid = x[i] - table[i] @ ref_y
+            d2 += float(resid @ resid)
+        else:  # sum_ab J_ab d_a . d_b, with d_y = x - x'(y)
+            dmat = x[i][None, :] - ref_y
+            d2 += float(np.einsum("ab,ad,bd->", jt[i], dmat, dmat))
     d_total *= 2.0 / s
     d2 *= 2.0 * (n - 1.0) / (n * s)
 

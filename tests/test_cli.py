@@ -2,7 +2,10 @@
 
 import dataclasses
 import math
+import os
 import pathlib
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -66,6 +69,7 @@ def csv_hash(path):
 
 
 README = pathlib.Path(__file__).resolve().parent.parent / "README.md"
+SRC = README.parent / "src"
 
 
 def test_merge_config_defaults_and_overrides():
@@ -172,6 +176,59 @@ def test_gradcheck_rejects_large_lattices(tmp_path, capsys):
     assert main(["gradcheck", "--config", str(ini),
                  "--override", "lattice.node_dims=1,100"]) == 2
     capsys.readouterr()
+
+
+def test_gradcheck_checks_its_node_limit_before_building_the_lattice(capsys, monkeypatch):
+    def built(cfg):
+        raise AssertionError("the lattice was built")
+
+    monkeypatch.setattr(cli, "get_lattice", built)
+    assert main(["gradcheck", "--override", "lattice.node_dims=5,5"]) == 2
+    assert capsys.readouterr().err.splitlines() == [
+        "error: gradcheck is limited to 16 nodes (finite differencing cost), config has 25"]
+
+
+# The child caps its own address space at 3 GiB before importing pmdnet.
+CAPPED_CLI = ("import resource, sys\n"
+              "resource.setrlimit(resource.RLIMIT_AS, (3 * 2**30, 3 * 2**30))\n"
+              "from pmdnet.cli import main\n"
+              "sys.exit(main(sys.argv[1:]))\n")
+
+
+@pytest.mark.parametrize("command, areas", [("train", "41 + 21 + 15"), ("gradcheck", "5 + 3 + 3")])
+def test_oversized_lattice_exits_2_before_allocating(tmp_path, command, areas):
+    # its windows would need some 300 GiB, so an allocation would end in an
+    # out-of-memory exit 1 under the cap
+    out = tmp_path / "out"
+    argv = [command, "--override", "lattice.node_dims=200000,200000"]
+    argv += ["--out-dir", str(out)] if command == "train" else []
+    proc = subprocess.run([sys.executable, "-c", CAPPED_CLI, *argv], capture_output=True, text=True,
+                          timeout=120, env={**os.environ, "PYTHONPATH": str(SRC)})
+    m = 200_000**2
+    cells = m * sum(map(int, areas.split(" + ")))
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert proc.stderr.splitlines() == [
+        f"error: lattice windowed size M * (K + N + L) = {m:,} * ({areas}) = {cells:,} cells "
+        f"exceeds the 10,000,000 bound"]
+    assert not out.exists()
+
+
+def test_oversized_heldout_batch_exits_2_before_drawing(tmp_path, capsys, monkeypatch):
+    def drawn(*args):
+        raise AssertionError("held-out vectors were drawn")
+
+    monkeypatch.setattr(cli, "heldout_samples", drawn)
+    out = tmp_path / "out"
+    assert main(["train", "--out-dir", str(out), "--override", "run.heldout_size=100000000",
+                 "--override", "training.updates=0"]) == 2
+    assert capsys.readouterr().err.splitlines() == [
+        "error: run.heldout_size * input size = 100,000,000 * 140 = 14,000,000,000 cells "
+        "exceeds the 10,000,000 bound"]
+    assert not out.exists()
+    # the stripe's 140 input cells admit heldout_size up to the bound's 71 428
+    assert build_run_config({"run.heldout_size": "71428"}).heldout_size == 71428
+    with pytest.raises(ConfigError, match="71,429 \\* 140 = 10,000,060 cells"):
+        build_run_config({"run.heldout_size": "71429"})
 
 
 def test_bound_oracle_pass_and_reduced_case(capsys):

@@ -14,6 +14,7 @@ from scipy import sparse
 
 from pmdnet import lattice
 from pmdnet.lattice import (
+    LATTICE_MAX_CELLS,
     Lattice,
     LatticeConfig,
     build_leakage,
@@ -41,6 +42,22 @@ def test_config_validation():
     with pytest.raises(ValueError):
         LatticeConfig(node_dims=(1, 5), input_window=(1, 1),
                       neighbourhood_window=(1, -3), leakage_window=(1, 1))
+
+
+def test_windowed_size_bound():
+    # STRIPE_1D is admitted above, and so are the 20x20 and 40x40 geometries
+    LatticeConfig(node_dims=(20, 20), input_window=(9, 9),
+                  neighbourhood_window=(5, 5), leakage_window=(3, 3))
+    LatticeConfig(node_dims=(40, 40), input_window=(9, 9),
+                  neighbourhood_window=(7, 7), leakage_window=(5, 5))
+    # 5 cells a node: 2 000 000 nodes reach the bound, one more passes it
+    windows = dict(input_window=(1, 1), neighbourhood_window=(1, 1), leakage_window=(1, 3))
+    assert 2_000_000 * 5 == LATTICE_MAX_CELLS
+    LatticeConfig(node_dims=(1, 2_000_000), **windows)
+    with pytest.raises(ValueError, match=r"^lattice windowed size M \* \(K \+ N \+ L\) = "
+                                         r"2,000,001 \* \(1 \+ 1 \+ 3\) = 10,000,005 cells "
+                                         r"exceeds the 10,000,000 bound$"):
+        LatticeConfig(node_dims=(1, 2_000_001), **windows)
 
 
 def test_input_dims_derived():

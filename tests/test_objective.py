@@ -170,6 +170,20 @@ def test_exact_enumeration_guard():
         compute_D_exact(samples, post, n=3)  # 101^3 > 1e6
 
 
+def test_exact_enumeration_guard_holds_for_a_joint_table():
+    m = 1001  # M^2 = 1 002 001 pairs, a valid symmetric joint otherwise
+    jt = np.full((1, m, m), 1.0 / m**2)
+    with pytest.raises(ValueError, match=f"M\\^n = {m**2} exceeds enumeration guard"):
+        compute_D_exact(SampleSet(vectors=np.zeros((1, 1))), n=2, joint=jt)
+
+
+def test_exact_refuses_a_negative_posterior_entry():
+    # the row sums to 1; enumerated anyway, it gave D = -3.0 and D3 = -0.25
+    samples = SampleSet(vectors=np.array([[1.0]]))
+    with pytest.raises(ValueError, match="posterior entries must be nonnegative"):
+        compute_D_exact(samples, np.array([[1.5, -0.5]]), n=2)
+
+
 def test_exact_firings_guard_holds_at_one_node():
     # at M = 1, M^n = 1 passes the tuple guard for any n; n itself is capped
     assert 2**MAX_FIRINGS <= ENUMERATION_GUARD < 2 ** (MAX_FIRINGS + 1)
