@@ -64,6 +64,11 @@ def _split_factor(n: float) -> float:
     return 4.0 * n / (n + 1.0)
 
 
+def n_label(n: float) -> str:
+    """n as CSV names, boundary rows and summary lines print it: 'inf' or %g."""
+    return "inf" if math.isinf(n) else f"{n:g}"
+
+
 def check_n(n: float) -> None:
     if not (n >= 1.0):
         raise ValueError(f"need n >= 1 (or inf), got {n}")
@@ -215,7 +220,6 @@ def _ranges(ms: list[int]) -> list[tuple[int, int]]:
 def describe_crossovers(n: float) -> str:
     """One-line summary of which type is optimal over integer M in [4, 100]."""
     scan = integer_scan(n)
-    n_label = "inf" if math.isinf(n) else f"{n:g}"
     parts = []
     for t in ALL_TYPES:
         ms = [m for m, ties in scan if t in ties]
@@ -224,4 +228,4 @@ def describe_crossovers(n: float) -> str:
             continue
         spans = ", ".join(f"M={a}..{b}" if a != b else f"M={a}" for a, b in _ranges(ms))
         parts.append(f"{t.label} {spans}")
-    return f"n={n_label}: " + "; ".join(parts)
+    return f"n={n_label(n)}: " + "; ".join(parts)

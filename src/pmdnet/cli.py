@@ -39,7 +39,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .activation import DegenerateActivityError, NodeParams
-from .analytic import check_n, describe_crossovers, phase_diagram, value_table
+from .analytic import check_n, describe_crossovers, n_label, phase_diagram, value_table
 from .datagen import TrainingConfig, validate_kappa
 from .gradients import FD_TOL, finite_difference_check
 from .lattice import LatticeConfig, get_lattice
@@ -232,20 +232,18 @@ def _setting(rc: RunConfig, setting: str):
 
 
 def _resume(path: str, merged: dict[str, str], rc: RunConfig) -> tuple[TrainerState, RunConfig]:
-    """Load a checkpoint, apply the RESUMABLE settings that were given to it,
-    and return it with the config the resumed run runs.
+    """Load a checkpoint and return it with the config the resumed run runs:
+    the checkpoint's settings, overlaid with the RESUMABLE ones given.
 
     Any other [lattice] or [training] setting that was given (config file,
     --override or --seed) must equal the checkpoint's; one that differs is
     a ConfigError, because the run would otherwise ignore it.
     """
     state = checkpoint_load(path)
-    given = {setting.partition(".")[2]: _setting(rc, setting) for setting in merged if setting in RESUMABLE}
-    # seed_policy is the one [run] setting; the rest belong to [training]
-    state.seed_policy = given.pop("seed_policy", state.seed_policy)
-    state.tcfg = dataclasses.replace(state.tcfg, **given)
-    ran = dataclasses.replace(rc, lattice=state.lattice_cfg, training=state.tcfg,
-                              seed_policy=state.seed_policy)
+    stored = dataclasses.replace(rc, lattice=state.lattice_cfg, training=state.tcfg,
+                                 seed_policy=state.seed_policy)
+    ran = build_run_config({s: text for s, text in merged.items() if s in RESUMABLE}, defaults=stored)
+    state.tcfg, state.seed_policy = ran.training, ran.seed_policy
     changed = [setting for setting in sorted(merged) if _setting(ran, setting) != _setting(rc, setting)]
     if changed:
         raise ConfigError(f"a resumed run keeps the checkpoint's lattice and training settings; "
@@ -255,12 +253,11 @@ def _resume(path: str, merged: dict[str, str], rc: RunConfig) -> tuple[TrainerSt
 
 def cmd_train(args) -> int:
     file_dict = _read_config_file(args.config) if args.config else None
-    merged = merge_config(file_dict, args.override, args.seed)
-    # the shorthand flags go through the merged config, so they are
-    # validated and hashed like the [run] keys they set
-    for key in ("report_every", "checkpoint_every"):
-        if getattr(args, key) is not None:
-            merged[f"run.{key}"] = str(getattr(args, key))
+    # the shorthand flags are [run] overrides, so they are validated and
+    # hashed like the keys they set
+    shorthand = [f"run.{key}={getattr(args, key)}" for key in ("report_every", "checkpoint_every")
+                 if getattr(args, key) is not None]
+    merged = merge_config(file_dict, args.override + shorthand, args.seed)
     rc = build_run_config(merged)
 
     if args.resume:
@@ -388,16 +385,12 @@ def cmd_phase(args) -> int:
 
     tables = []
     for n in n_values:
-        label = "inf" if math.isinf(n) else f"{n:g}"
         rows = value_table(m_values, n)
         tables.append((n, rows))
-        _write_csv(os.path.join(args.out_dir, f"values_n{label}.csv"), cfg_hash,
+        _write_csv(os.path.join(args.out_dir, f"values_n{n_label(n)}.csv"), cfg_hash,
                    ["M", "value_type1", "value_type2", "value_type3", "winner"], rows)
         print(describe_crossovers(n))
-    boundary_rows = [
-        ("inf" if math.isinf(b.n) else f"{b.n:g}", b.m, b.lower.label, b.upper.label)
-        for b in phase_diagram(tables)
-    ]
+    boundary_rows = [(n_label(b.n), b.m, b.lower.label, b.upper.label) for b in phase_diagram(tables)]
     _write_csv(os.path.join(args.out_dir, "phase_boundaries.csv"), cfg_hash,
                ["n", "M", "optimal_below", "optimal_above"], boundary_rows)
     return EXIT_OK

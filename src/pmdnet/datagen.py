@@ -84,11 +84,13 @@ def compose_1d(cfg: LatticeConfig, kappa: float, phases: tuple[float, ...], nois
 def gen_1d(tc: TrainingConfig, cfg: LatticeConfig, rng: np.random.Generator) -> np.ndarray:
     """Draw one 1D training vector over the padded input array.
 
+    A run is 1D exactly when its padded input array is one row
+    (input_dims[0] == 1, so m1 = 1 and i1 = 1); any other config raises.
     With s = 2 the even cells use one random phase and the odd cells an
     independent one.  Noise is uniform in [-nu/2, nu/2] per component and
     always drawn, keeping the RNG stream layout independent of nu.
     """
-    if cfg.node_dims[0] != 1 or cfg.input_dims[0] != 1:
+    if cfg.input_dims[0] != 1:
         raise ValueError("gen_1d requires a 1D lattice (m1 = 1, i1 = 1)")
     if tc.s == 1:
         phases = (rng.uniform(0.0, TWO_PI),)
@@ -121,13 +123,13 @@ def validate_kappa(tc: TrainingConfig, cfg: LatticeConfig) -> list[str]:
     """Check that kappa times the input window is close to a multiple of
     2 pi, which keeps the windowed signal manifold closed.
 
-    Returns a list of warning strings (empty means fine).  No warning when
-    the ratio is at least 4: many cycles per window make the mismatch
-    irrelevant.
+    Returns a list of warning strings (empty means fine).  Both axes are
+    checked; a 1D run's input window is one cell tall (i1 = 1), so only i2
+    can warn.  No warning when the ratio is at least 4: many cycles per
+    window make the mismatch irrelevant.
     """
     warnings = []
-    dims = [1] if cfg.input_dims[0] == 1 else [0, 1]
-    for axis in dims:
+    for axis in (0, 1):
         extent = cfg.input_window[axis]
         if extent == 1:
             continue

@@ -162,12 +162,9 @@ class FDReport:
     def passed(self) -> bool:
         return self.max_rel_error <= FD_TOL
 
-    def format_text(self, limit: int | None = None) -> str:
+    def format_text(self) -> str:
         lines = ["kind node comp analytic numeric rel_error"]
-        entries = sorted(self.entries, key=lambda e: -e.rel_error)
-        if limit is not None:
-            entries = entries[:limit]
-        for e in entries:
+        for e in sorted(self.entries, key=lambda e: -e.rel_error):
             lines.append(
                 f"{e.kind} {e.node} {e.component} {e.analytic:.12e} {e.numeric:.12e} {e.rel_error:.3e}"
             )

@@ -195,8 +195,9 @@ def train_step(state: TrainerState, x: np.ndarray) -> TrainerState:
 
 
 def _draw(lattice_cfg: LatticeConfig, tcfg: TrainingConfig, rng: np.random.Generator) -> np.ndarray:
-    """One conditioned training vector over the padded input array."""
-    gen = gen_1d if lattice_cfg.node_dims[0] == 1 else gen_2d
+    """One conditioned training vector over the padded input array: a 1D
+    stripe when that array is one row (see gen_1d), else 2D plane waves."""
+    gen = gen_1d if lattice_cfg.input_dims[0] == 1 else gen_2d
     return gen(tcfg, lattice_cfg, rng) * data_scale(tcfg)
 
 
@@ -324,8 +325,7 @@ def checkpoint_load(path) -> TrainerState:
         header = json.loads(blob[header_start:header_start + header_len].decode("utf-8"))
         # the sections hold exactly the config dataclasses' fields
         lattice_cfg = LatticeConfig(**header["lattice"])
-        lattice = get_lattice(lattice_cfg)
-        m, k = lattice.num_nodes, lattice.window_len
+        m, k = lattice_cfg.num_nodes, int(np.prod(lattice_cfg.input_window))
         arrays, offset = [], header_start + header_len
         for nbytes in (m * k * 8, m * 8, m * k * 8):
             chunk = blob[offset:offset + nbytes]

@@ -607,6 +607,26 @@ def test_train_2d_writes_graymap(tmp_path, capsys):
         assert len(blob) == len(b"P5\n4 3\n255\n") + 12
 
 
+def test_train_one_node_row_with_tall_windows_is_a_2d_run(tmp_path, capsys):
+    # a 3-row padded input: plane waves, and both window axes are checked
+    out = tmp_path / "row"
+    assert main(["train", "--out-dir", str(out), "--override", "lattice.node_dims=1,8",
+                 "--override", "lattice.input_window=3,3",
+                 "--override", "lattice.neighbourhood_window=1,3",
+                 "--override", "lattice.leakage_window=1,3",
+                 "--override", "training.updates=50"]) == 0
+    printed = capsys.readouterr()
+    assert "finished at step 50" in printed.out
+    assert [line.split(" = ")[0] for line in printed.err.splitlines()] == [
+        "warning: kappa * i1 / 2pi", "warning: kappa * i2 / 2pi"]
+    _, rows = read_csv(out / "objective_trace.csv")
+    assert [int(r[0]) for r in rows] == [0, 50]
+    _, rows = read_csv(out / "dominance_history.csv")
+    assert len(rows) == 2 * 8
+    _, rows = read_csv(out / "dominance.csv")
+    assert len(rows) == 8
+
+
 def test_readme_config_example_is_the_defaults(tmp_path):
     example = README.read_text(encoding="utf-8").split("```ini\n", 1)[1].split("```", 1)[0]
     path = tmp_path / "readme.ini"

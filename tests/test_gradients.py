@@ -235,7 +235,7 @@ def test_finite_difference_check_passes():
         params = make_params(lat, rng)
         samples = SampleSet(vectors=rng.uniform(-1, 1, (3, lat.input_size)))
         report = finite_difference_check(samples, lat, params, n)
-        assert report.passed(), report.format_text(limit=3)
+        assert report.passed(), report.format_text()
         assert len(report.entries) == 5 + 2 * 5 * 3
 
 
@@ -259,10 +259,12 @@ def test_report_format_text():
     params = make_params(lat, rng)
     samples = SampleSet(vectors=rng.uniform(-1, 1, (2, lat.input_size)))
     report = finite_difference_check(samples, lat, params, 2.0)
-    text = report.format_text(limit=2)
-    assert text.startswith("kind node comp")
-    assert "max_rel_error" in text
-    assert len(text.splitlines()) == 4
+    lines = report.format_text().splitlines()
+    assert lines[0] == "kind node comp analytic numeric rel_error"
+    assert lines[-1].startswith("max_rel_error ") and lines[-1].endswith(" over 9 components")
+    assert len(lines) == 11  # every one of the 3 bias and 2 * 3 * 1 weight and ref components
+    errors = [float(line.split()[-1]) for line in lines[1:-1]]
+    assert errors == sorted(errors, reverse=True)
 
 
 SATURATION_CONFIGS = [

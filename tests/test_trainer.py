@@ -348,6 +348,23 @@ def test_checkpoint_roundtrip_bitwise(tmp_path):
     assert st2.data_rng.bit_generator.state == st.data_rng.bit_generator.state
 
 
+def test_checkpoint_load_sizes_its_payload_from_the_header(tmp_path, monkeypatch):
+    cfg = LatticeConfig(node_dims=(3, 4), input_window=(3, 5),
+                        neighbourhood_window=(3, 3), leakage_window=(1, 1))
+    st = run_training(new_state(cfg, SMALL_TC), 5)
+    p1, p2 = tmp_path / "a.ckpt", tmp_path / "b.ckpt"
+    checkpoint_save(st, p1)
+
+    def refuse(cfg):
+        raise AssertionError("checkpoint_load built a Lattice")
+
+    monkeypatch.setattr("pmdnet.trainer.get_lattice", refuse)
+    st2 = checkpoint_load(p1)
+    checkpoint_save(st2, p2)
+    assert p1.read_bytes() == p2.read_bytes()
+    assert st2.params.weights.shape == st2.params.ref_vectors.shape == (12, 15)
+
+
 def test_checkpoint_resume_equals_uninterrupted(tmp_path):
     straight = run_training(new_state(SMALL_CFG, SMALL_TC), 30)
     p_final = tmp_path / "straight.ckpt"
