@@ -11,9 +11,10 @@ Subcommands:
 Exit codes: 0 success, 1 check failure or a training run that failed at run
 time (it diverged to a non-finite rate, gradient or parameter, or every
 activity in some neighbourhood underflowed to zero), 2 config error, 3 IO
-error, 130 interrupted (Ctrl-C).  A training run that fails or is
-interrupted still writes the objective-trace and dominance-history rows
-recorded so far.
+error, 130 interrupted (Ctrl-C).  train runs trainer.train and streams its
+reports into the objective-trace and dominance-history CSVs, flushed at
+every report, so a run that fails or is interrupted keeps the rows recorded
+so far.
 
 Config files are INI-style key = value sections.  RunConfig is the schema:
 [lattice] sets the fields of LatticeConfig, [training] those of
@@ -29,6 +30,7 @@ from __future__ import annotations
 
 import argparse
 import configparser
+import contextlib
 import csv
 import dataclasses
 import math
@@ -51,12 +53,10 @@ from .trainer import (
     TrainerState,
     TrainingDivergedError,
     checkpoint_load,
-    checkpoint_save,
     dominance,
-    heldout_objective,
     heldout_samples,
     new_state,
-    run_training,
+    train,
 )
 
 EXIT_OK = 0
@@ -205,12 +205,16 @@ def load_run_config(config_path: str | None, overrides: list[str], seed: int | N
     return build_run_config(merge_config(file_dict, overrides, seed), defaults)
 
 
+def _open_csv(path: str, cfg_hash: str, columns: list[str]):
+    fh = open(path, "w", encoding="utf-8", newline="")
+    fh.write(f"# config_hash={cfg_hash}\n")
+    csv.writer(fh).writerow(columns)
+    return fh
+
+
 def _write_csv(path: str, cfg_hash: str, columns: list[str], rows) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(f"# config_hash={cfg_hash}\n")
-        writer = csv.writer(fh)
-        writer.writerow(columns)
-        writer.writerows(rows)
+    with _open_csv(path, cfg_hash, columns) as fh:
+        csv.writer(fh).writerows(rows)
 
 
 def _write_pgm(path: str, values: np.ndarray) -> None:
@@ -235,9 +239,9 @@ def _resume(path: str, merged: dict[str, str], rc: RunConfig) -> tuple[TrainerSt
     """Load a checkpoint and return it with the config the resumed run runs:
     the checkpoint's settings, overlaid with the RESUMABLE ones given.
 
-    Any other [lattice] or [training] setting that was given (config file,
-    --override or --seed) must equal the checkpoint's; one that differs is
-    a ConfigError, because the run would otherwise ignore it.
+    Any other [lattice] or [training] setting given (config file, --override
+    or --seed) must equal the checkpoint's, or the run would ignore it; one
+    that differs is a ConfigError, and so is a target below the checkpoint's step.
     """
     state = checkpoint_load(path)
     stored = dataclasses.replace(rc, lattice=state.lattice_cfg, training=state.tcfg,
@@ -248,6 +252,8 @@ def _resume(path: str, merged: dict[str, str], rc: RunConfig) -> tuple[TrainerSt
     if changed:
         raise ConfigError(f"a resumed run keeps the checkpoint's lattice and training settings; "
                           f"cannot change {', '.join(changed)}")
+    if state.step > state.tcfg.updates:
+        raise ConfigError(f"training.updates {state.tcfg.updates} is below the checkpoint's step {state.step}")
     return state, ran
 
 
@@ -269,53 +275,34 @@ def cmd_train(args) -> int:
     for warning in validate_kappa(rc.training, rc.lattice):
         print(f"warning: {warning}", file=sys.stderr)
 
-    target = state.tcfg.updates
-    remaining = max(0, target - state.step)
     out_dir = args.out_dir
     os.makedirs(out_dir, exist_ok=True)
-
     heldout = heldout_samples(state.lattice_cfg, state.tcfg, rc.heldout_size)
-    trace_rows = []
-    history_rows = []
+    two_sensors = state.tcfg.s == 2
+    prof = None
+    with (_open_csv(os.path.join(out_dir, "objective_trace.csv"), cfg_hash,
+                    ["step", "d1", "d2", "total"]) as trace,
+          _open_csv(os.path.join(out_dir, "dominance_history.csv"), cfg_hash,
+                    ["step", "node_index", "a1", "a2"]) if two_sensors else contextlib.nullcontext() as history):
+        def report(state: TrainerState, bound) -> None:
+            nonlocal prof
+            csv.writer(trace).writerow((state.step, bound.d1, bound.d2, bound.total))
+            trace.flush()
+            if two_sensors:
+                prof = dominance(state)
+                csv.writer(history).writerows(
+                    (state.step, idx, a1, a2) for idx, (a1, a2) in enumerate(zip(prof.a1, prof.a2)))
+                history.flush()
 
-    def record(state: TrainerState) -> None:
-        bound = heldout_objective(state, heldout)
-        trace_rows.append((state.step, bound.d1, bound.d2, bound.total))
-        if state.tcfg.s == 2:
-            prof = dominance(state)
-            for idx in range(prof.a1.size):
-                history_rows.append((state.step, idx, prof.a1[idx], prof.a2[idx]))
+        train(state, heldout, rc.report_every, rc.checkpoint_every, out_dir, report)
 
-    def on_step(state: TrainerState) -> None:
-        if rc.report_every and state.step % rc.report_every == 0:
-            record(state)
-        if rc.checkpoint_every and state.step % rc.checkpoint_every == 0:
-            checkpoint_save(state, os.path.join(out_dir, f"checkpoint_{state.step:06d}.ckpt"))
-
-    try:
-        if state.step == 0:
-            record(state)
-        run_training(state, remaining, on_step=on_step)
-        if not trace_rows or trace_rows[-1][0] != state.step:
-            record(state)
-    finally:
-        # a diverged or interrupted run keeps the rows recorded so far
-        _write_csv(os.path.join(out_dir, "objective_trace.csv"), cfg_hash,
-                   ["step", "d1", "d2", "total"], trace_rows)
-        if state.tcfg.s == 2:
-            _write_csv(os.path.join(out_dir, "dominance_history.csv"), cfg_hash,
-                       ["step", "node_index", "a1", "a2"], history_rows)
-
-    if state.tcfg.s == 2:
-        prof = dominance(state)
-        rows = [(idx, prof.a1[idx], prof.a2[idx]) for idx in range(prof.a1.size)]
-        _write_csv(os.path.join(out_dir, "dominance.csv"), cfg_hash,
-                   ["node_index", "a1", "a2"], rows)
+    if two_sensors:  # the last report was of the final state
+        _write_csv(os.path.join(out_dir, "dominance.csv"), cfg_hash, ["node_index", "a1", "a2"],
+                   [(idx, prof.a1[idx], prof.a2[idx]) for idx in range(prof.a1.size)])
         if state.lattice_cfg.node_dims[0] > 1:
             for name, values in (("a1", prof.a1), ("a2", prof.a2)):
                 _write_pgm(os.path.join(out_dir, f"dominance_{name}.pgm"),
                            values.reshape(state.lattice_cfg.node_dims))
-    checkpoint_save(state, os.path.join(out_dir, "checkpoint_final.ckpt"))
     print(f"finished at step {state.step}; outputs in {out_dir} (config {cfg_hash})")
     return EXIT_OK
 

@@ -9,7 +9,8 @@ once, checks the mean |gradient| and the rate of each type, computes its
 update out of place and commits it only when every new value is finite;
 run_training puts the data RNG back when a step raises, Ctrl-C included.  A
 step that fails or is interrupted therefore changes nothing: parameters,
-rates, step count and RNG are as they were before it.
+rates, step count and RNG are as they were before it.  train drives a
+whole run: its held-out reports and its periodic and final checkpoints.
 
 Checkpoints are versioned binary files whose save/load round trip is
 bit-exact, including the data RNG state, so an interrupted run resumed
@@ -237,6 +238,23 @@ def heldout_samples(lattice_cfg: LatticeConfig, tcfg: TrainingConfig, size: int)
 
 def heldout_objective(state: TrainerState, samples: SampleSet):
     return compute_D1_D2(samples, state.lattice, state.params, float(state.tcfg.n))
+
+
+def train(state: TrainerState, heldout: SampleSet, report_every: int, checkpoint_every: int,
+          out_dir: str, on_report) -> None:
+    """Run state on to tcfg.updates.  on_report(state, held-out bound) is called at
+    step 0 of a fresh run, every report_every steps and at the last step (once
+    for a run already there); checkpoint_NNNNNN.ckpt is written every
+    checkpoint_every steps (0: never), and checkpoint_final.ckpt at the end."""
+    def on_step(state: TrainerState) -> None:
+        if state.step == state.tcfg.updates or (report_every and state.step % report_every == 0):
+            on_report(state, heldout_objective(state, heldout))
+        if checkpoint_every and state.step % checkpoint_every == 0:
+            checkpoint_save(state, os.path.join(out_dir, f"checkpoint_{state.step:06d}.ckpt"))
+    if state.step == 0 or state.step >= state.tcfg.updates:
+        on_report(state, heldout_objective(state, heldout))
+    run_training(state, max(0, state.tcfg.updates - state.step), on_step=on_step)
+    checkpoint_save(state, os.path.join(out_dir, "checkpoint_final.ckpt"))
 
 
 def dominance_arrays(params: NodeParams, lattice: Lattice, parity: np.ndarray) -> DominanceProfile:

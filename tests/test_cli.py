@@ -10,7 +10,7 @@ import sys
 import numpy as np
 import pytest
 
-from pmdnet import cli
+from pmdnet import cli, trainer
 from pmdnet.cli import (
     DEFAULTS,
     SECTIONS,
@@ -421,6 +421,48 @@ def test_resume_rejects_model_overrides(tmp_path, capsys, extra):
     assert not resumed.exists()
 
 
+def test_resume_refuses_a_target_below_the_checkpoint_step(tmp_path, capsys):
+    ini = write_tiny(tmp_path)
+    full = tmp_path / "full"
+    assert main(["train", "--config", str(ini), "--out-dir", str(full)]) == 0
+    capsys.readouterr()
+    checkpoint = str(full / "checkpoint_000020.ckpt")
+    resumed = tmp_path / "resumed"
+    assert main(["train", "--resume", checkpoint, "--out-dir", str(resumed),
+                 "--override", "training.updates=10"]) == 2
+    assert capsys.readouterr().err.splitlines() == [
+        "error: training.updates 10 is below the checkpoint's step 20"]
+    assert not resumed.exists()
+    # a target equal to the checkpoint's step runs no update and reports once
+    assert main(["train", "--resume", checkpoint, "--out-dir", str(resumed),
+                 "--override", "training.updates=20"]) == 0
+    assert "finished at step 20" in capsys.readouterr().out
+    assert [row[0] for row in read_csv(resumed / "objective_trace.csv")[1]] == ["20"]
+    _, rows = read_csv(resumed / "dominance_history.csv")
+    assert {row[0] for row in rows} == {"20"} and len(rows) == 12
+    assert checkpoint_load(resumed / "checkpoint_final.ckpt").step == 20
+
+
+def test_train_rows_are_on_disk_while_the_run_goes_on(tmp_path, capsys, monkeypatch):
+    # report_every 10 and checkpoint_every 20: the checkpoint written at
+    # step 20 comes after that step's report
+    seen = {}
+    save = trainer.checkpoint_save
+
+    def reading_save(state, path):
+        if state.step == 20:
+            seen["trace"] = [row[0] for row in read_csv(out / "objective_trace.csv")[1]]
+            seen["history"] = [row[0] for row in read_csv(out / "dominance_history.csv")[1]]
+        save(state, path)
+
+    monkeypatch.setattr(trainer, "checkpoint_save", reading_save)
+    out = tmp_path / "out"
+    assert main(["train", "--config", str(write_tiny(tmp_path)), "--out-dir", str(out)]) == 0
+    capsys.readouterr()
+    assert seen["trace"] == ["0", "10", "20"]
+    assert seen["history"] == [step for step in ("0", "10", "20") for _ in range(12)]
+
+
 def test_resume_applies_seed_policy(tmp_path, capsys):
     ini = write_tiny(tmp_path)
     full = tmp_path / "full"
@@ -441,8 +483,11 @@ def test_train_outputs_are_deterministic(tmp_path, capsys):
         assert main(["train", "--config", str(ini), "--out-dir", str(out)]) == 0
         outs.append(out)
     capsys.readouterr()
-    for fname in ("objective_trace.csv", "dominance.csv", "checkpoint_final.ckpt"):
-        assert (outs[0] / fname).read_bytes() == (outs[1] / fname).read_bytes()
+    names = sorted(path.name for path in outs[0].iterdir())
+    assert names == sorted(path.name for path in outs[1].iterdir())
+    assert "dominance_history.csv" in names and "checkpoint_000020.ckpt" in names
+    for fname in names:
+        assert (outs[0] / fname).read_bytes() == (outs[1] / fname).read_bytes(), fname
 
 
 TINY_2D_INI = """\
@@ -705,7 +750,7 @@ def test_interrupt_exits_130_with_one_line(tmp_path, capsys, monkeypatch):
     def interrupted(state, updates, on_step=None):
         raise KeyboardInterrupt
 
-    monkeypatch.setattr(cli, "run_training", interrupted)
+    monkeypatch.setattr(trainer, "run_training", interrupted)
     out = tmp_path / "out"
     assert main(["train", "--config", str(write_tiny(tmp_path)), "--out-dir", str(out)]) == 130
     assert cli.EXIT_INTERRUPTED == 130

@@ -2,10 +2,13 @@
 its passes run against the package as it is."""
 
 import argparse
+import hashlib
 import importlib
 import importlib.util
 import sys
 from pathlib import Path
+
+import pytest
 
 import pmdnet
 from pmdnet import cli, lattice, trainer
@@ -88,3 +91,19 @@ def test_verify_pass_traces_the_activity_layer(tmp_path):
         tracer.uninstall()
     assert res.failed == 0, res.gates
     assert tracer.durations("activation.activities")
+
+
+@pytest.mark.parametrize("workload", ["stripe1d", "map2d_40x40"])
+def test_training_pass_and_pmdnet_train_end_in_one_checkpoint(tmp_path, capsys, workload):
+    # the bench's training pass keeps its own copy of the run's reports and
+    # checkpoints; it must end where `pmdnet train` with the same settings does
+    workloads = load_perfbench("workloads")
+    res = workloads.training_pass(program(), workload, 0, str(tmp_path), lambda _: None)
+    assert res.failed == 0, res.gates
+    argv = ["train", "--seed", "0", "--out-dir", str(tmp_path / "cli")]
+    for item in workloads.TRAINING_OVERRIDES[workload]:
+        argv += ["--override", item]
+    assert cli.main(argv) == 0
+    capsys.readouterr()
+    final = (tmp_path / "cli" / "checkpoint_final.ckpt").read_bytes()
+    assert hashlib.sha256(final).hexdigest() == res.fingerprint
