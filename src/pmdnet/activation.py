@@ -59,8 +59,7 @@ def stable_sigmoid(z):
     # exp(-|z|) <= 1 is exp(-z) on z >= 0 and exp(z) below it
     e = np.exp(-np.abs(z))
     d = 1.0 + e
-    out = np.where(z >= 0, 1.0 / d, e / d)
-    return out if out.ndim else float(out)
+    return np.where(z >= 0, 1.0 / d, e / d)
 
 
 def activities(x_windows: np.ndarray, params: NodeParams) -> np.ndarray:

@@ -58,10 +58,11 @@ def radius_gyration(m: float) -> float:
 
 
 def _split_factor(n: float) -> float:
-    # 4n/(n+1), limit 4 as n -> infinity
+    # 4n/(n+1), limit 4 as n -> infinity.  n/(n+1) is formed first, since 4n
+    # overflows above n ~ 4.5e307; scaling by 4 is exact, so both round alike
     if math.isinf(n):
         return 4.0
-    return 4.0 * n / (n + 1.0)
+    return 4.0 * (n / (n + 1.0))
 
 
 def n_label(n: float) -> str:
@@ -129,7 +130,7 @@ def stationary_scale(stype: SolutionType, n: float, attached_subspace: int = 1) 
     if stype is SolutionType.SINGLE:
         scale = 1.0
     elif stype is SolutionType.SPLIT:
-        scale = 2.0 if math.isinf(n) else 2.0 * n / (n + 1.0)
+        scale = 0.5 * _split_factor(n)
     else:
         raise TypeError(f"unknown solution type {stype!r}")
     return (scale, 0.0) if attached_subspace == 1 else (0.0, scale)

@@ -33,6 +33,7 @@ import configparser
 import contextlib
 import csv
 import dataclasses
+import fnmatch
 import math
 import os
 import sys
@@ -78,6 +79,9 @@ PHASE_MAX_POINTS = 100_000
 # vector at a time, measured at 16-21 bytes and 0.16-0.9 us per cell (40 x 40
 # and the stripe), so the bound is about 0.2 GB and up to ~9 s of drawing.
 HELDOUT_MAX_CELLS = 10_000_000
+# The files a training run writes; a run refuses an --out-dir that holds one,
+# so two runs' outputs never mix.
+RUN_FILES = ("objective_trace.csv", "dominance*.csv", "dominance_a*.pgm", "checkpoint_*.ckpt")
 
 
 class ConfigError(ValueError):
@@ -108,7 +112,7 @@ class RunConfig:
                              f"got {self.seed_policy!r}")
         if self.report_every < 0 or self.checkpoint_every < 0 or self.heldout_size < 1:
             raise ValueError("report_every/checkpoint_every must be >= 0 and heldout_size >= 1")
-        d = math.prod(self.lattice.input_dims)
+        d = self.lattice.input_size
         if self.heldout_size * d > HELDOUT_MAX_CELLS:
             raise ValueError(f"run.heldout_size * input size = {self.heldout_size:,} * {d:,} = "
                              f"{self.heldout_size * d:,} cells exceeds the {HELDOUT_MAX_CELLS:,} bound")
@@ -271,11 +275,15 @@ def cmd_train(args) -> int:
     else:
         state = new_state(rc.lattice, rc.training, rc.seed_policy)
     cfg_hash = config_hash(rc)
+    out_dir = args.out_dir
+    if os.path.isdir(out_dir):
+        for name in sorted(os.listdir(out_dir)):
+            if any(fnmatch.fnmatchcase(name, pattern) for pattern in RUN_FILES):
+                raise ConfigError(f"--out-dir {out_dir} already holds {name} from another run")
 
     for warning in validate_kappa(rc.training, rc.lattice):
         print(f"warning: {warning}", file=sys.stderr)
 
-    out_dir = args.out_dir
     os.makedirs(out_dir, exist_ok=True)
     heldout = heldout_samples(state.lattice_cfg, state.tcfg, rc.heldout_size)
     two_sensors = state.tcfg.s == 2
@@ -472,9 +480,6 @@ def main(argv=None) -> int:
     except MemoryError as exc:
         print(f"error: out of memory: {str(exc) or 'an allocation was refused'}", file=sys.stderr)
         return EXIT_CHECK_FAILED
-    except FileNotFoundError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_IO
     except (ConfigError, CheckpointError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

@@ -1,15 +1,16 @@
 """Sinusoidal training data with interleaved independent subspaces.
 
-Each training vector covers the whole padded input array.  With s = 2 the
-input cells are split by coordinate parity into two interleaved subspaces
-whose sinusoid parameters are drawn independently, so the two subsignals
-are statistically independent.  Uniform noise of amplitude nu is added per
-component.
+Each training vector covers the whole padded input array.  Input cell u
+belongs to sensor parity(u) % s, so with s = 2 the cells split by coordinate
+parity into two interleaved subspaces whose sinusoid parameters are drawn
+independently: the two subsignals are statistically independent.  Uniform
+noise of amplitude nu is added per component.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -27,7 +28,7 @@ class TrainingConfig:
     kappa    sinusoid wavenumber in radians per input cell
     nu       additive uniform noise amplitude (full width)
     s        number of interleaved subspaces, 1 or 2
-    n        number of node firings per input (objective weight)
+    n        node firings per input (objective weight), at most ~1.8e308
     epsilon  update-rate parameter
     seed     RNG seed for the run
     updates  number of online training updates
@@ -54,6 +55,8 @@ class TrainingConfig:
             raise ValueError("s must be 1 or 2")
         if self.n < 1:
             raise ValueError("n must be >= 1")
+        if self.n > sys.float_info.max:  # the objective weighs by float(n)
+            raise ValueError(f"n must not exceed the largest float, {sys.float_info.max:g}")
         if not self.epsilon > 0:
             raise ValueError("epsilon must be positive")
         if self.seed < 0:
@@ -73,7 +76,7 @@ def parity_mask(cfg: LatticeConfig) -> np.ndarray:
 
 def compose_1d(cfg: LatticeConfig, kappa: float, phases: tuple[float, ...], noise: np.ndarray) -> np.ndarray:
     """Deterministic part of gen_1d: component u is sin(kappa u + phase of
-    u's subspace) + noise[u].  Exposed for exact-value tests."""
+    subspace u % len(phases)) + noise[u].  Exposed for exact-value tests."""
     d1, d2 = cfg.input_dims
     u = np.arange(d2, dtype=float)
     phase = np.asarray(phases)[np.arange(d2) % len(phases)]
@@ -86,26 +89,23 @@ def gen_1d(tc: TrainingConfig, cfg: LatticeConfig, rng: np.random.Generator) -> 
 
     A run is 1D exactly when its padded input array is one row
     (input_dims[0] == 1, so m1 = 1 and i1 = 1); any other config raises.
-    With s = 2 the even cells use one random phase and the odd cells an
-    independent one.  Noise is uniform in [-nu/2, nu/2] per component and
-    always drawn, keeping the RNG stream layout independent of nu.
+    One phase is drawn per sensor, so with s = 2 the even and odd cells get
+    independent phases.  Noise is uniform in [-nu/2, nu/2] per component
+    and always drawn, keeping the RNG stream layout independent of nu.
     """
     if cfg.input_dims[0] != 1:
         raise ValueError("gen_1d requires a 1D lattice (m1 = 1, i1 = 1)")
-    if tc.s == 1:
-        phases = (rng.uniform(0.0, TWO_PI),)
-    else:
-        phases = (rng.uniform(0.0, TWO_PI), rng.uniform(0.0, TWO_PI))
+    phases = tuple(rng.uniform(0.0, TWO_PI) for _ in range(tc.s))
     noise = rng.uniform(-tc.nu / 2.0, tc.nu / 2.0, size=cfg.input_dims[1])
     return compose_1d(cfg, tc.kappa, phases, noise)
 
 
 def gen_2d(tc: TrainingConfig, cfg: LatticeConfig, rng: np.random.Generator) -> np.ndarray:
-    """Draw one 2D training vector: plane waves sin(kappa (u1 cos t + u2
-    sin t) + phase) with random azimuth t, chessboard-interleaved when
-    s = 2."""
+    """Draw one 2D training vector: per sensor, a plane wave sin(kappa (u1
+    cos t + u2 sin t) + phase) with random azimuth t on that sensor's
+    cells, chessboard-interleaved when s = 2."""
     d1, d2 = cfg.input_dims
-    par = parity_mask(cfg)
+    sensor = parity_mask(cfg) % tc.s
     u1 = np.arange(d1, dtype=float)[:, None]
     u2 = np.arange(d2, dtype=float)[None, :]
     vals = np.zeros((d1, d2))
@@ -113,7 +113,7 @@ def gen_2d(tc: TrainingConfig, cfg: LatticeConfig, rng: np.random.Generator) -> 
         theta = rng.uniform(0.0, TWO_PI)
         phase = rng.uniform(0.0, TWO_PI)
         wave = np.sin(tc.kappa * (u1 * math.cos(theta) + u2 * math.sin(theta)) + phase)
-        mask = par == k if tc.s == 2 else np.ones_like(par, dtype=bool)
+        mask = sensor == k
         vals[mask] = wave[mask]
     vals += rng.uniform(-tc.nu / 2.0, tc.nu / 2.0, size=(d1, d2))
     return vals

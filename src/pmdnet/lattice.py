@@ -9,20 +9,22 @@ m1 = 1).  Every node owns three rectangular top-hat windows:
 * an input window over a padded input array, never truncated because the
   input array is padded by (window - 1) cells in total per dimension.
 
-All boundaries are non-periodic.
+All boundaries are non-periodic.  The config alone fixes this geometry:
+LatticeConfig gives the sizes K and D, and _window_csr builds every window.
 
 Every sparse product on the lattice runs on one of three fixed CSR layouts,
 built once per Lattice and frozen: the neighbourhood layout N (M x M), the
 window layout W (M x D) and the leakage L (M x M, with its weights).  A
 layout applies A v and A^T u in one kernel call each, with its stored
 entries or with entries passed in per call (the posterior P is N with the
-entries of one input).  Its kernels are loaded without the scipy.sparse package.
+entries of one input), with 32-bit indices.  Its kernels load without scipy.sparse.
 """
 
 from __future__ import annotations
 
 import importlib.machinery
 import importlib.util
+import math
 import os
 import sys
 from dataclasses import dataclass
@@ -97,7 +99,7 @@ class LatticeConfig:
         if any(v < 1 for v in self.node_dims):
             raise ValueError(f"node_dims must be positive, got {self.node_dims}")
         m = self.num_nodes
-        areas = [a * b for a, b in (self.input_window, self.neighbourhood_window, self.leakage_window)]
+        areas = [self.window_len, math.prod(self.neighbourhood_window), math.prod(self.leakage_window)]
         if m * sum(areas) > LATTICE_MAX_CELLS:  # refused before anything is allocated
             raise ValueError(f"lattice windowed size M * (K + N + L) = {m:,} * "
                              f"({' + '.join(map(str, areas))}) = {m * sum(areas):,} cells "
@@ -114,27 +116,33 @@ class LatticeConfig:
     def num_nodes(self) -> int:
         return self.node_dims[0] * self.node_dims[1]
 
+    @property
+    def window_len(self) -> int:
+        """K, the cells of one input window."""
+        return math.prod(self.input_window)
 
-def _window_csr(node_dims, window) -> tuple[np.ndarray, np.ndarray]:
-    """CSR structure (indptr, indices) of truncated top-hat windows.
+    @property
+    def input_size(self) -> int:
+        """D, the cells of the padded input array."""
+        return math.prod(self.input_dims)
 
-    Row y lists the flat indices of the window centred on node y, clipped to
-    the lattice, in row-major order.
+
+def _window_csr(node_dims, grid, window, offset) -> tuple[np.ndarray, np.ndarray]:
+    """CSR structure (indptr, indices) of one box per node.
+
+    Row y lists the flat indices, in row-major order, of the box of extents
+    window whose first cell is y + offset on an array of extents grid,
+    clipped to that array: for N and L a box centred on y over the node
+    array (offset -(window - 1) / 2), for W the box that starts at y on the
+    padded input (offset 0, which never clips).
     """
-    m1, m2 = node_dims
-    h1, h2 = (window[0] - 1) // 2, (window[1] - 1) // 2
-    y1 = np.repeat(np.arange(m1), m2)
-    y2 = np.tile(np.arange(m2), m1)
-    off1 = np.arange(-h1, h1 + 1)
-    off2 = np.arange(-h2, h2 + 1)
-    z1 = y1[:, None, None] + off1[None, :, None]
-    z2 = y2[:, None, None] + off2[None, None, :]
-    valid = (z1 >= 0) & (z1 < m1) & (z2 >= 0) & (z2 < m2)
-    flat = z1 * m2 + z2
-    counts = valid.reshape(m1 * m2, -1).sum(axis=1)
-    indptr = np.concatenate([[0], np.cumsum(counts)])
-    indices = flat[valid]
-    return indptr.astype(np.int64), indices.astype(np.int64)
+    # z[a] is (m_a, window_a): the box's coordinates along axis a, per node
+    # coordinate; a clipped box is the product of its clipped extents
+    z1, z2 = (np.arange(m)[:, None] + np.arange(o, o + w) for m, w, o in zip(node_dims, window, offset))
+    in1, in2 = ((z >= 0) & (z < g) for z, g in zip((z1, z2), grid))
+    counts = np.outer(in1.sum(axis=1), in2.sum(axis=1)).reshape(-1)
+    flat = (z1 * grid[1])[:, None, :, None] + z2[None, :, None, :]
+    return np.concatenate([[0], np.cumsum(counts)]), flat[in1[:, None, :, None] & in2[None, :, None, :]]
 
 
 def _freeze(*arrays: np.ndarray) -> None:
@@ -160,11 +168,11 @@ class CSRLayout:
 
     def __init__(self, shape: tuple[int, int], indptr: np.ndarray, indices: np.ndarray,
                  data: np.ndarray | None = None):
-        # 32-bit indices when they fit: smaller, and the product runs faster
-        index = np.int32 if max(shape[1], len(indices)) <= np.iinfo(np.int32).max else np.int64
+        # 32-bit indices: smaller, and the product runs faster.  Every layout
+        # is a Lattice's, whose D <= M K and nnz stay within LATTICE_MAX_CELLS
         self.shape = shape
-        self.indptr = indptr.astype(index)
-        self.indices = indices.astype(index)
+        self.indptr = indptr.astype(np.int32)
+        self.indices = indices.astype(np.int32)
         self.data = None if data is None else data.astype(float)
         _freeze(*(a for a in (self.indptr, self.indices, self.data) if a is not None))
 
@@ -212,7 +220,8 @@ class LeakageMatrix(CSRLayout):
 
 def build_leakage(cfg: LatticeConfig) -> LeakageMatrix:
     """Uniform top-hat leakage rows, truncated at edges and renormalised."""
-    indptr, indices = _window_csr(cfg.node_dims, cfg.leakage_window)
+    window = cfg.leakage_window
+    indptr, indices = _window_csr(cfg.node_dims, cfg.node_dims, window, [-(w // 2) for w in window])
     m, counts = cfg.num_nodes, np.diff(indptr)
     return LeakageMatrix((m, m), indptr, indices, np.repeat(1.0 / counts, counts))
 
@@ -227,6 +236,7 @@ class Lattice:
     Attributes:
         cfg          the LatticeConfig
         num_nodes    M
+        window_len, input_size  K and D, read from cfg
         nbr          the neighbourhood layout N, M x M with stored ones: row
                      y' lists N(y') in row-major order, so nbr.matvec(q)
                      holds the window sums and N with the posterior entries
@@ -234,8 +244,7 @@ class Lattice:
         nbr_indices, nbr_rows
                      the column y and the row y' of every entry of N
         ones         (M,) ones, so nbr.rmatvec(ones, post) is P^T 1
-        win_idx      (M, K) flat indices of each node's input window,
-                     K = i1 * i2
+        win_idx      (M, K) flat indices of each node's input window
         win          the window layout W, M x D: row y lists the cells of
                      y's input window, so win.rmatvec(u, d) adds u_y d_y,
                      over windowed (M, K) entries d, into input space
@@ -245,33 +254,20 @@ class Lattice:
     def __init__(self, cfg: LatticeConfig):
         self.cfg = cfg
         self.num_nodes = m = cfg.num_nodes
-        m1, m2 = cfg.node_dims
-        nbr_indptr, self.nbr_indices = _window_csr(cfg.node_dims, cfg.neighbourhood_window)
+        self.window_len, self.input_size = cfg.window_len, cfg.input_size
+        window = cfg.neighbourhood_window
+        nbr_indptr, self.nbr_indices = _window_csr(cfg.node_dims, cfg.node_dims, window,
+                                                   [-(w // 2) for w in window])
         self.nbr_rows = np.repeat(np.arange(m), np.diff(nbr_indptr))
         self.nbr = CSRLayout((m, m), nbr_indptr, self.nbr_indices, np.ones(len(self.nbr_indices)))
         self.ones = np.ones(m)
 
-        i1, i2 = cfg.input_window
-        d1, d2 = cfg.input_dims
-        y1 = np.repeat(np.arange(m1), m2)
-        y2 = np.tile(np.arange(m2), m1)
-        u1 = y1[:, None, None] + np.arange(i1)[None, :, None]
-        u2 = y2[:, None, None] + np.arange(i2)[None, None, :]
-        self.win_idx = (u1 * d2 + u2).reshape(m, i1 * i2)
-        assert self.win_idx.min() >= 0 and self.win_idx.max() < d1 * d2
-        k = self.win_idx.shape[1]
-        self.win = CSRLayout((m, d1 * d2), np.arange(0, m * k + 1, k), self.win_idx.reshape(-1))
+        # a clipped input window would fail the (M, K) reshape
+        win_indptr, win_indices = _window_csr(cfg.node_dims, cfg.input_dims, cfg.input_window, (0, 0))
+        self.win_idx = win_indices.reshape(m, self.window_len)
+        self.win = CSRLayout((m, self.input_size), win_indptr, win_indices)
         self.leakage = build_leakage(cfg)
         _freeze(self.nbr_indices, self.nbr_rows, self.ones, self.win_idx)
-
-    @property
-    def window_len(self) -> int:
-        return self.win_idx.shape[1]
-
-    @property
-    def input_size(self) -> int:
-        d1, d2 = self.cfg.input_dims
-        return d1 * d2
 
     def coords(self, flat: int) -> NodeIndex:
         m2 = self.cfg.node_dims[1]

@@ -343,7 +343,7 @@ def checkpoint_load(path) -> TrainerState:
         header = json.loads(blob[header_start:header_start + header_len].decode("utf-8"))
         # the sections hold exactly the config dataclasses' fields
         lattice_cfg = LatticeConfig(**header["lattice"])
-        m, k = lattice_cfg.num_nodes, int(np.prod(lattice_cfg.input_window))
+        m, k = lattice_cfg.num_nodes, lattice_cfg.window_len
         arrays, offset = [], header_start + header_len
         for nbytes in (m * k * 8, m * 8, m * k * 8):
             chunk = blob[offset:offset + nbytes]

@@ -33,6 +33,12 @@ def test_sigmoid_zero_logit():
     assert activity_sigmoid(np.zeros(3), np.zeros(3), 0.0) == 0.5
 
 
+def test_sigmoid_returns_an_array_for_any_input():
+    # one return type: a 0-d input gives a 0-d array, not a float
+    out = stable_sigmoid(0.0)
+    assert isinstance(out, np.ndarray) and out.shape == () and out == 0.5
+
+
 def test_sigmoid_saturation_no_overflow():
     vals = stable_sigmoid(np.array([-1e4, -50.0, 50.0, 1e4]))
     assert vals[0] == 0.0 or vals[0] < 1e-300

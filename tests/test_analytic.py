@@ -128,6 +128,14 @@ def test_stationary_scale():
         stationary_scale(SolutionType.SPLIT, 2.0, attached_subspace=3)
 
 
+def test_split_forms_at_a_huge_n_are_the_limits():
+    # 4n overflows above n ~ 4.5e307, but n/(n+1) rounds to 1 there
+    assert stationary_scale(SolutionType.SPLIT, 1e308) == (2.0, 0.0)
+    for m in (4.0, 20.0, 100.0):
+        assert solution_value(SolutionType.SPLIT, m, 1e308) == solution_value(SolutionType.SPLIT, m, math.inf)
+    assert describe_crossovers(1e308) == "n=1e+308: type1 M=4..8; type2 never; type3 M=8..100"
+
+
 def test_phase_diagram_boundaries():
     ms = np.arange(2.0, 60.0, 0.25)
     by_n = {}

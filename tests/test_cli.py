@@ -757,3 +757,65 @@ def test_interrupt_exits_130_with_one_line(tmp_path, capsys, monkeypatch):
     assert capsys.readouterr().err.splitlines() == ["error: interrupted"]
     # the rows recorded before the interrupt are kept
     assert [row[0] for row in read_csv(out / "objective_trace.csv")[1]] == ["0"]
+
+
+def test_phase_at_a_huge_n_is_the_n_infinity_table(tmp_path, capsys):
+    # 4n overflows above n ~ 4.5e307; the split value is formed from n/(n+1)
+    out = tmp_path / "phase"
+    assert main(["phase", "--n-list", "1e308,inf", "--out-dir", str(out)]) == 0
+    huge, inf = capsys.readouterr().out.splitlines()
+    assert huge.removeprefix("n=1e+308: ") == inf.removeprefix("n=inf: ")
+    _, rows = read_csv(out / "values_n1e+308.csv")
+    assert len(rows) == 233 and all(math.isfinite(float(v)) for row in rows for v in row[1:4])
+    assert rows == read_csv(out / "values_ninf.csv")[1]
+
+
+@pytest.mark.parametrize("command", ["train", "gradcheck"])
+def test_training_n_above_the_largest_float_exits_2(tmp_path, capsys, command):
+    # the objective weighs by float(n), which would raise OverflowError
+    out = tmp_path / "out"
+    argv = [command, "--override", "training.updates=0", "--override", "training.n=1" + "0" * 400]
+    assert main(argv + (["--out-dir", str(out)] if command == "train" else [])) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == [
+        f"error: n must not exceed the largest float, {sys.float_info.max:g}"]
+    assert not out.exists()
+
+
+def test_train_refuses_an_out_dir_holding_another_runs_files(tmp_path, capsys, monkeypatch):
+    ini = write_tiny(tmp_path, updates=20)
+    out = tmp_path / "out"
+    assert main(["train", "--config", str(ini), "--out-dir", str(out)]) == 0
+    capsys.readouterr()
+    before = {path.name: path.read_bytes() for path in out.iterdir()}
+
+    def drawn(*args):
+        raise AssertionError("the held-out batch was drawn")
+
+    monkeypatch.setattr(cli, "heldout_samples", drawn)
+    # a second run, fresh or resumed, into the same directory writes nothing
+    for argv in (["--config", str(ini), "--override", "training.s=1"],
+                 ["--resume", str(out / "checkpoint_000020.ckpt")]):
+        assert main(["train", "--out-dir", str(out)] + argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == [
+            f"error: --out-dir {out} already holds checkpoint_000020.ckpt from another run"]
+    assert {path.name: path.read_bytes() for path in out.iterdir()} == before
+
+
+@pytest.mark.parametrize("name", ["objective_trace.csv", "dominance.csv", "dominance_history.csv",
+                                  "dominance_a2.pgm", "checkpoint_000100.ckpt", "checkpoint_final.ckpt"])
+def test_each_run_file_marks_an_out_dir_as_used(tmp_path, capsys, name):
+    out = tmp_path / "out"
+    out.mkdir()
+    (out / "notes.txt").write_text("kept\n")
+    (out / name).write_text("")
+    argv = ["train", "--override", "training.updates=0", "--out-dir", str(out)]
+    assert main(argv) == 2
+    assert capsys.readouterr().err.splitlines() == [
+        f"error: --out-dir {out} already holds {name} from another run"]
+    (out / name).unlink()
+    assert main(argv) == 0  # a file no run writes is left alone
+    assert (out / "notes.txt").read_text() == "kept\n"

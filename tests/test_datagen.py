@@ -145,6 +145,17 @@ def test_gen_2d_interleaves_and_bounds():
         assert np.allclose(vals[par == k], wave[par == k], rtol=0, atol=1e-12)
 
 
+def test_gen_2d_one_sensor_covers_every_cell():
+    cfg = LatticeConfig(node_dims=(3, 4), input_window=(3, 3),
+                        neighbourhood_window=(3, 3), leakage_window=(1, 1))
+    vals = gen_2d(TrainingConfig(kappa=0.7, nu=0.0, s=1), cfg, np.random.default_rng(5))
+    rng = np.random.default_rng(5)
+    theta, phase = rng.uniform(0.0, 2 * math.pi), rng.uniform(0.0, 2 * math.pi)
+    u1, u2 = np.arange(5)[:, None], np.arange(6)[None, :]
+    wave = np.sin(0.7 * (u1 * math.cos(theta) + u2 * math.sin(theta)) + phase)
+    assert np.allclose(vals, wave, rtol=0, atol=1e-12)
+
+
 def test_parity_mask_chessboard():
     par = parity_mask(STRIPE_CFG)
     assert par.shape == STRIPE_CFG.input_dims

@@ -68,6 +68,41 @@ def test_input_dims_derived():
     assert cfg.input_dims == (10, 10)
 
 
+def test_window_and_input_sizes_come_from_the_config():
+    cfg = LatticeConfig(node_dims=(6, 8), input_window=(5, 3),
+                        neighbourhood_window=(3, 3), leakage_window=(1, 1))
+    assert (cfg.window_len, cfg.input_size) == (15, 100)
+    lat = Lattice(cfg)
+    assert (lat.window_len, lat.input_size) == (cfg.window_len, cfg.input_size)
+    assert lat.win_idx.shape == (48, 15) and lat.win.shape == (48, 100)
+
+
+@st_.composite
+def admitted_configs(draw):
+    """LatticeConfigs the windowed-size bound admits, out to the bound: the
+    node array first, then the three windows within the cells it leaves."""
+    m1 = draw(st_.integers(1, LATTICE_MAX_CELLS // 3))
+    m2 = draw(st_.integers(1, LATTICE_MAX_CELLS // (3 * m1)))
+    budget, windows = LATTICE_MAX_CELLS // (m1 * m2), []
+    for later in (2, 1, 0):  # windows still to place, at least one cell each
+        a = _odd(draw, (budget - later - 1) // 2)
+        b = _odd(draw, ((budget - later) // a - 1) // 2)
+        windows.append((a, b))
+        budget -= a * b
+    return LatticeConfig((m1, m2), *windows)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(admitted_configs())
+def test_admitted_layouts_fit_int32_indices(cfg):
+    # CSRLayout stores 32-bit indices: the columns D and every layout's nnz
+    # (at most M times its window's area) must stay below 2^31
+    m = cfg.num_nodes
+    assert cfg.input_size <= m * cfg.window_len
+    for window in (cfg.input_window, cfg.neighbourhood_window, cfg.leakage_window):
+        assert m * window[0] * window[1] < 2**31
+
+
 def test_neighbourhood_interior_full_window():
     got = neighbourhood(STRIPE_1D, (0, 50))
     assert got == {(0, c) for c in range(40, 61)}
