@@ -40,6 +40,8 @@ class SolutionType(enum.Enum):
 ALL_TYPES = (SolutionType.SINGLE, SolutionType.JOINT, SolutionType.SPLIT)
 # values within this of the minimum tie with it (exact analytic ties exist)
 TIE_TOL = 1e-9
+# a phase boundary is bisected until its bracket is this narrow in M
+CROSSING_TOL = 1e-6
 
 
 class OptimalType(NamedTuple):
@@ -139,12 +141,12 @@ def stationary_scale(stype: SolutionType, n: float, attached_subspace: int = 1) 
 @dataclass(frozen=True)
 class PhaseBoundary:
     n: float
-    m: float           # crossing point, located to 1e-6
+    m: float           # crossing point, located to CROSSING_TOL
     lower: SolutionType  # optimal just below m
     upper: SolutionType  # optimal just above m
 
 
-def _bisect_crossing(a: SolutionType, b: SolutionType, n: float, lo: float, hi: float, tol: float = 1e-6) -> float:
+def _bisect_crossing(a: SolutionType, b: SolutionType, n: float, lo: float, hi: float) -> float:
     """M where value(a) - value(b) changes sign inside (lo, hi)."""
 
     def diff(m):
@@ -152,7 +154,7 @@ def _bisect_crossing(a: SolutionType, b: SolutionType, n: float, lo: float, hi: 
 
     flo = diff(lo)
     for _ in range(200):
-        if hi - lo <= tol:
+        if hi - lo <= CROSSING_TOL:
             break
         mid = 0.5 * (lo + hi)
         fmid = diff(mid)

@@ -57,6 +57,7 @@ from .trainer import (
     dominance,
     heldout_samples,
     new_state,
+    stream,
     train,
 )
 
@@ -324,14 +325,14 @@ def cmd_gradcheck(args) -> int:
             f"(finite differencing cost), config has {rc.lattice.num_nodes}")
     lattice = get_lattice(rc.lattice)
     seed = rc.training.seed
-    param_rng = np.random.default_rng([seed, 3])
+    param_rng = stream(seed, "gradcheck_params")
     m, k = lattice.num_nodes, lattice.window_len
     params = NodeParams(
         weights=param_rng.uniform(-0.3, 0.3, size=(m, k)),
         biases=param_rng.uniform(-0.2, 0.2, size=m),
         ref_vectors=param_rng.uniform(-0.5, 0.5, size=(m, k)),
     )
-    sample_rng = np.random.default_rng([seed, 4])
+    sample_rng = stream(seed, "gradcheck_samples")
     samples = SampleSet(vectors=sample_rng.uniform(-1.0, 1.0, size=(3, lattice.input_size)))
     report = finite_difference_check(
         samples, lattice, params, float(rc.training.n), corrupt_first_component=args.corrupt)
@@ -401,7 +402,7 @@ def cmd_bound_oracle(args) -> int:
     if m ** n > ENUMERATION_GUARD:
         raise ConfigError(f"tuple space M^n = {m}^{n} exceeds the {ENUMERATION_GUARD:,} "
                           f"enumeration guard")
-    rng = np.random.default_rng([args.seed, 5])
+    rng = stream(args.seed, "bound_oracle")
     samples = SampleSet(vectors=rng.uniform(-1.0, 1.0, size=(count, args.dim)))
     raw = rng.uniform(0.1, 1.0, size=(count, m))
     posterior = raw / raw.sum(axis=1, keepdims=True)

@@ -25,7 +25,7 @@ TWO_PI = 2.0 * math.pi
 class TrainingConfig:
     """Training-run parameters.
 
-    kappa    sinusoid wavenumber in radians per input cell
+    kappa    sinusoid wavenumber in radians per input cell, at most pi
     nu       additive uniform noise amplitude (full width)
     s        number of interleaved subspaces, 1 or 2
     n        node firings per input (objective weight), at most ~1.8e308
@@ -49,6 +49,9 @@ class TrainingConfig:
                 raise ValueError(f"{name} must be finite, got {getattr(self, name)!r}")
         if not self.kappa > 0:
             raise ValueError("kappa must be positive")
+        if self.kappa > math.pi:  # on a unit cell grid, kappa and 2 pi - kappa draw alike
+            raise ValueError(f"kappa must not exceed pi, the Nyquist limit of the cell grid, "
+                             f"got {self.kappa!r}")
         if self.nu < 0:
             raise ValueError("nu must be nonnegative")
         if self.s not in (1, 2):

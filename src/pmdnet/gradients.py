@@ -12,12 +12,13 @@ neighbourhood layout with the sample's posterior entries), a single pass
 over the truncated windows; the quadruple-sum expansions exist only in the
 test suite as an independent oracle.
 
-Derivatives (empirical average over samples, windowed):
+Derivatives (empirical average over samples, windowed), with w1 and w2 the
+weights of D1 and D2 (objective.bound_weights):
 
-    dD1/dx'(y) = -(4 / (n M))        < f1(x, y) >
-    dD2/dx'(y) = -(4 (n-1) / (n M^2)) < f2(x, y) >
-    dD1/d(b, w)(y) = (2 / (n M))       < g1 (1 - Q) (1, x_win) >
-    dD2/d(b, w)(y) = (4 (n-1) / (n M^2)) < g2 (1 - Q) (1, x_win) >
+    dD1/dx'(y) = -2 w1 < f1(x, y) >
+    dD2/dx'(y) = -2 w2 < f2(x, y) >
+    dD1/d(b, w)(y) = w1 < g1 (1 - Q) (1, x_win) >
+    dD2/d(b, w)(y) = 2 w2 < g2 (1 - Q) (1, x_win) >
 
 with f1 = rho_y d_y, f2 = rho_y dbar, g1 = p_y (L e)_y - (P^T P L e)_y and
 g2 = (p_y (L d)_y - (P^T P L d)_y) . dbar.  The coherent kernel is linear
@@ -29,14 +30,17 @@ which has the form of g1 with e replaced by h.  Every per-sample array is
 therefore windowed (M, K) or per node (M,); only dbar spans the input.
 
 Per sample the totals are assembled in one pass, never as separate d1 and
-d2 parts: with c1, c2 the bias/weight and r1, r2 the ref coefficients above,
+d2 parts: with c1 = w1, c2 = 2 w2 the bias/weight and r1 = -2 w1,
+r2 = -2 w2 the ref coefficients,
 
     bias   = (c1 g1 + c2 g2) (1 - Q)
     weight = bias x_win
     ref    = (r1 rho) d + (r2 rho) dbar_win.
 
 build_state stores g1 and g2 themselves; the tests form f1 and f2 from the
-state and check the d1/d2 split against the expanded-sum oracle.
+state and check the d1/d2 split against the expanded-sum oracle.  by_kind
+pairs each parameter type with its gradient total, in the one order
+(bias, weight, ref) that the trainer and the finite-difference check read.
 """
 
 from __future__ import annotations
@@ -47,7 +51,7 @@ import numpy as np
 
 from .activation import NodeParams
 from .lattice import Lattice
-from .objective import Forward, SampleSet, compute_D1_D2, forward
+from .objective import Forward, SampleSet, bound_weights, compute_D1_D2, forward
 
 
 @dataclass
@@ -100,9 +104,8 @@ class GradientSet:
 
 def gradient_set_from_states(states, lattice: Lattice, n: float) -> GradientSet:
     """Average the per-sample bias, weight and ref totals over the states."""
-    m = lattice.num_nodes
-    c1, c2 = 2.0 / (n * m), 4.0 * (n - 1.0) / (n * m * m)
-    r1, r2 = -4.0 / (n * m), -4.0 * (n - 1.0) / (n * m * m)
+    w1, w2 = bound_weights(n, lattice.num_nodes)
+    c1, c2, r1, r2 = w1, 2.0 * w2, -2.0 * w1, -2.0 * w2
     totals = None
     count = 0
     for state in states:
@@ -123,6 +126,14 @@ def gradient_set_from_states(states, lattice: Lattice, n: float) -> GradientSet:
         for total in totals:
             total /= count
     return GradientSet(*totals)
+
+
+def by_kind(params: NodeParams, grads: GradientSet):
+    """(kind, values, gradient total) of each parameter type, ordered bias,
+    weight, ref."""
+    return (("bias", params.biases, grads.bias_total),
+            ("weight", params.weights, grads.weight_total),
+            ("ref", params.ref_vectors, grads.ref_total))
 
 
 def all_gradients(samples: SampleSet, lattice: Lattice, params: NodeParams, n: float) -> GradientSet:
@@ -193,13 +204,11 @@ def finite_difference_check(
     analytic ref-vector component so the check must fail.
     """
     gs = all_gradients(samples, lattice, params, n)
-    analytic = {"bias": gs.bias_total, "weight": gs.weight_total, "ref": gs.ref_total}
     if corrupt_first_component:
-        analytic["ref"].flat[0] = analytic["ref"].flat[0] * 1.1 + 1e-3
+        gs.ref_total.flat[0] = gs.ref_total.flat[0] * 1.1 + 1e-3
 
-    arrays = {"bias": params.biases, "weight": params.weights, "ref": params.ref_vectors}
     report = FDReport()
-    for kind, arr in arrays.items():
+    for kind, arr, analytic in by_kind(params, gs):
         flat = arr.reshape(-1)
         width = arr.shape[1] if arr.ndim == 2 else 1
         for idx in range(flat.shape[0]):
@@ -211,7 +220,7 @@ def finite_difference_check(
             flat[idx] = orig
             numeric = (f_plus - f_minus) / (2.0 * FD_STEP)
             noise = np.finfo(float).eps * max(abs(f_plus), abs(f_minus)) / FD_STEP
-            a = float(analytic[kind].reshape(-1)[idx])
+            a = float(analytic.flat[idx])
             report.entries.append(
                 FDEntry(
                     kind=kind,

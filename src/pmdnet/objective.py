@@ -26,6 +26,8 @@ from .activation import NodeParams, activities, localized_posterior_entries
 from .lattice import Lattice
 
 ENUMERATION_GUARD = 1_000_000
+# solve_stationary_refvectors refuses a system whose condition number exceeds this
+STATIONARY_COND_LIMIT = 1e12
 # The most firings the guard admits at M = 2, floor(log2 ENUMERATION_GUARD).
 # It also bounds n at M = 1, where M^n = 1 would pass any n.
 MAX_FIRINGS = ENUMERATION_GUARD.bit_length() - 1
@@ -142,6 +144,16 @@ def forward(x: np.ndarray, lattice: Lattice, params: NodeParams) -> Forward:
     return Forward(x_windows=xw, q=q, post=post, p=p, rho=rho, d_win=d_win, e=e, dbar=dbar)
 
 
+def bound_weights(n: float, m: int) -> tuple[float, float]:
+    """The weights w1 = 2 / (n M) of the incoherent sum <rho . e> and
+    w2 = 2 (n-1) / (n M^2) of the coherent sum <||dbar||^2> in D1 + D2.
+
+    The gradient coefficients are these weights times powers of two, so
+    each equals its own formula's rounded value unless a weight underflows.
+    """
+    return 2.0 / (n * m), 2.0 * (n - 1.0) / (n * m * m)
+
+
 def compute_D1_D2(samples: SampleSet, lattice: Lattice, params: NodeParams, n: float) -> BoundValue:
     """Model objective with the leaked scalable posterior.
 
@@ -151,7 +163,7 @@ def compute_D1_D2(samples: SampleSet, lattice: Lattice, params: NodeParams, n: f
     """
     if n < 1:
         raise ValueError("n must be >= 1")
-    m = lattice.num_nodes
+    w1, w2 = bound_weights(n, lattice.num_nodes)
     d1_acc = 0.0
     d2_acc = 0.0
     for x in samples.vectors:
@@ -159,9 +171,7 @@ def compute_D1_D2(samples: SampleSet, lattice: Lattice, params: NodeParams, n: f
         d1_acc += float(fw.rho @ fw.e)
         d2_acc += float(fw.dbar @ fw.dbar)
     s = samples.size
-    d1 = 2.0 / (n * m) * d1_acc / s
-    d2 = 2.0 * (n - 1.0) / (n * m * m) * d2_acc / s
-    return BoundValue(d1=d1, d2=d2)
+    return BoundValue(d1=w1 * d1_acc / s, d2=w2 * d2_acc / s)
 
 
 def _tuple_probs(row: np.ndarray, n: int) -> np.ndarray:
@@ -313,9 +323,7 @@ def stationary_form_value(
     return -(2.0 / n) * term1 - (2.0 * (n - 1.0) / n) * term2
 
 
-def solve_stationary_refvectors(
-    samples: SampleSet, posterior: np.ndarray, n: float, cond_limit: float = 1e12
-) -> np.ndarray:
+def solve_stationary_refvectors(samples: SampleSet, posterior: np.ndarray, n: float) -> np.ndarray:
     """Solve the stationarity condition of the fixed-posterior bound for the
     reference vectors:
 
@@ -323,7 +331,7 @@ def solve_stationary_refvectors(
 
     where <.|y> is the conditional empirical average given node y.  Dense
     linear solve; raises StationaritySolveError with the condition number if
-    the system is unreliable.
+    it is not finite or exceeds STATIONARY_COND_LIMIT.
     """
     post = _check_posterior(samples, posterior)
     x = samples.vectors
@@ -337,6 +345,6 @@ def solve_stationary_refvectors(
     c = w.T @ post
     a = np.eye(m) + (n - 1.0) * c
     cond = float(np.linalg.cond(a))
-    if not np.isfinite(cond) or cond > cond_limit:
+    if not np.isfinite(cond) or cond > STATIONARY_COND_LIMIT:
         raise StationaritySolveError(f"stationarity system is ill conditioned: cond = {cond:.3e}")
     return np.linalg.solve(a, n * b)

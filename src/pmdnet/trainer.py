@@ -4,13 +4,23 @@ One training vector is drawn, conditioned, and consumed per update.  Each
 of the three parameter types (biases, weights, reference vectors) gets its
 own update rate, recomputed for every training vector so that the mean
 absolute parameter change of type t equals epsilon times the current
-spread (max - min) of that type's values.  A step builds its gradients
-once, checks the mean |gradient| and the rate of each type, computes its
-update out of place and commits it only when every new value is finite;
-run_training puts the data RNG back when a step raises, Ctrl-C included.  A
-step that fails or is interrupted therefore changes nothing: parameters,
-rates, step count and RNG are as they were before it.  train drives a
-whole run: its held-out reports and its periodic and final checkpoints.
+spread (max - min) of that type's values.
+
+The rate is capped at RATE_CEILING = 100, a departure from the paper's
+rule.  As nodes saturate, the mean |gradient| shrinks and the uncapped rate
+grows without bound (past 1e11 by step 5600 of the default stripe run,
+continued), until the run fails.  Within the default run's 3200 updates the
+ceiling bound on none of 13 seeds measured (largest rate 83.2), so that run
+follows the paper's rule; on a 20x20 lattice at the default epsilon it
+binds from about step 690.
+
+A step builds its gradients once, checks the mean |gradient| and the rate
+of each type, computes its update out of place and commits it only when
+every new value is finite; run_training puts the data RNG back when a step
+raises, Ctrl-C included.  A step that fails or is interrupted therefore
+changes nothing: parameters, rates, step count and RNG are as they were
+before it.  train drives a whole run: its held-out reports and its periodic
+and final checkpoints.
 
 Checkpoints are versioned binary files whose save/load round trip is
 bit-exact, including the data RNG state, so an interrupted run resumed
@@ -31,18 +41,36 @@ import numpy as np
 
 from .activation import NodeParams
 from .datagen import TrainingConfig, gen_1d, gen_2d, parity_mask
-from .gradients import GradientSet, build_state, gradient_set_from_states
+from .gradients import GradientSet, build_state, by_kind, gradient_set_from_states
 from .lattice import Lattice, LatticeConfig, get_lattice
 from .objective import SampleSet, compute_D1_D2
 
 DIAMETER_FLOOR = 1.0
 GRAD_MEAN_EPS = 1e-12
+# The largest finite update rate adapt_rates hands out; see the module docstring.
+RATE_CEILING = 100.0
 
 CHECKPOINT_MAGIC = b"PMDNETC1"
 CHECKPOINT_VERSION = 1
 
 # "fresh" continues the data stream across run segments; "restart" replays it
 SEED_POLICIES = ("fresh", "restart")
+
+# Every random stream of a run is seeded by [seed, id], with its id here;
+# no two streams share an id, so none draws from another's sequence.
+STREAMS = {
+    "init": 0,
+    "data": 1,
+    "heldout": 2,
+    "gradcheck_params": 3,
+    "gradcheck_samples": 4,
+    "bound_oracle": 5,
+}
+
+
+def stream(seed: int, name: str) -> np.random.Generator:
+    """The named random stream of a seed (see STREAMS)."""
+    return np.random.default_rng([seed, STREAMS[name]])
 
 
 class CheckpointError(RuntimeError):
@@ -109,8 +137,7 @@ def init_params(lattice: Lattice, rng: np.random.Generator) -> NodeParams:
 
 def new_state(lattice_cfg: LatticeConfig, tcfg: TrainingConfig, seed_policy: str = "fresh") -> TrainerState:
     lattice = get_lattice(lattice_cfg)
-    init_rng = np.random.default_rng([tcfg.seed, 0])
-    params = init_params(lattice, init_rng)
+    params = init_params(lattice, stream(tcfg.seed, "init"))
     return TrainerState(
         lattice_cfg=lattice_cfg,
         tcfg=tcfg,
@@ -118,7 +145,7 @@ def new_state(lattice_cfg: LatticeConfig, tcfg: TrainingConfig, seed_policy: str
         step=0,
         rates=np.zeros(3),
         diameters=np.ones(3),
-        data_rng=np.random.default_rng([tcfg.seed, 1]),
+        data_rng=stream(tcfg.seed, "data"),
         seed_policy=seed_policy,
     )
 
@@ -139,35 +166,33 @@ def _spread(values: np.ndarray) -> float:
     return max(float(spread), DIAMETER_FLOOR)
 
 
-def _paired(params: NodeParams, grads: GradientSet):
-    """(values, gradient) of each parameter type, ordered bias, weight, ref."""
-    return ((params.biases, grads.bias_total), (params.weights, grads.weight_total),
-            (params.ref_vectors, grads.ref_total))
-
-
 def adapt_rates(params: NodeParams, grads: GradientSet,
                 epsilon: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Per-type rates: epsilon * spread / (mean |gradient| + tiny).
+    """Per-type rates: epsilon * spread / (mean |gradient| + tiny), a finite
+    rate capped at RATE_CEILING.
 
     By construction the mean absolute applied change of type t is then
-    epsilon * spread_t whenever the mean gradient magnitude is nonzero.
+    epsilon * spread_t whenever the mean gradient magnitude is nonzero and
+    the ceiling does not bind.
     Returns (rates, spreads, means) ordered bias, weight, ref, where means
     holds each type's mean |gradient|.  A NaN or infinite gradient entry
     makes its type's mean non-finite, and so does a sum of finite entries
     that overflows (every weight total at 1e307, say), whose rate would
     otherwise read 0 and let the step commit no change; train_step reports
-    either as a non-finite gradient.
+    either as a non-finite gradient.  A rate that overflows stays inf, past
+    the ceiling, so that train_step reports it as a non-finite rate.
     """
     rates = np.zeros(3)
     diameters = np.zeros(3)
     means = np.zeros(3)
-    for i, (values, grad) in enumerate(_paired(params, grads)):
+    for i, (_, values, grad) in enumerate(by_kind(params, grads)):
         diameters[i] = _spread(values)
         with np.errstate(over="ignore"):
             # np.abs(grad).mean() without its Python wrapper, bitwise
             means[i] = mean = float(np.add.reduce(np.abs(grad), axis=None)) / grad.size
             # a huge epsilon overflows to inf here; train_step reports that
-            rates[i] = epsilon * diameters[i] / (mean + GRAD_MEAN_EPS)
+            rate = epsilon * diameters[i] / (mean + GRAD_MEAN_EPS)
+        rates[i] = RATE_CEILING if RATE_CEILING < rate < np.inf else rate
     return rates, diameters, means
 
 
@@ -185,7 +210,7 @@ def train_step(state: TrainerState, x: np.ndarray) -> TrainerState:
     # owns; an overflow is reported by the check below, not as a warning
     with np.errstate(over="ignore", invalid="ignore"):
         new = [np.subtract(values, np.multiply(rate, grad, out=grad), out=grad)
-               for rate, (values, grad) in zip(rates, _paired(state.params, grads))]
+               for rate, (_, values, grad) in zip(rates, by_kind(state.params, grads))]
     if not all(np.isfinite(arr).all() for arr in new):
         raise TrainingDivergedError(f"non-finite parameter at step {state.step}")
     state.params.biases, state.params.weights, state.params.ref_vectors = new
@@ -216,7 +241,7 @@ def run_training(state: TrainerState, updates: int, on_step=None) -> TrainerStat
     interrupted leaves the RNG where it was before that step's draw.
     """
     if state.seed_policy == "restart":
-        state.data_rng = np.random.default_rng([state.tcfg.seed, 1])
+        state.data_rng = stream(state.tcfg.seed, "data")
     for _ in range(updates):
         rng_state = state.data_rng.bit_generator.state
         try:
@@ -232,7 +257,7 @@ def run_training(state: TrainerState, updates: int, on_step=None) -> TrainerStat
 def heldout_samples(lattice_cfg: LatticeConfig, tcfg: TrainingConfig, size: int) -> SampleSet:
     """Frozen evaluation batch from a dedicated stream (never touches the
     training stream), conditioned like the training data."""
-    rng = np.random.default_rng([tcfg.seed, 2])
+    rng = stream(tcfg.seed, "heldout")
     return SampleSet(vectors=np.array([_draw(lattice_cfg, tcfg, rng).reshape(-1) for _ in range(size)]))
 
 

@@ -529,6 +529,28 @@ def test_train_divergence_exits_1(tmp_path, capsys):
     assert [row[:2] for row in rows] == [["0", str(idx)] for idx in range(12)]
 
 
+def test_huge_kappa_is_a_config_error(tmp_path, capsys):
+    # round(kappa * extent / 2 pi) in validate_kappa would overflow on it
+    code = main(["train", "--out-dir", str(tmp_path / "bad"), "--override", "training.kappa=1e308"])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err == "error: kappa must not exceed pi, the Nyquist limit of the cell grid, got 1e+308\n"
+    assert not (tmp_path / "bad").exists()
+
+
+def test_kappa_above_the_grid_limit_is_refused_not_aliased(tmp_path, capsys):
+    # on the cell grid kappa + 2 pi draws the data of kappa, under another hash
+    code = main(["train", "--out-dir", str(tmp_path / "bad"),
+                 "--override", f"training.kappa={0.3 + 2 * math.pi!r}"])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith("error: kappa must not exceed pi")
+    assert not (tmp_path / "bad").exists()
+    # pi itself is the limit, and is admitted
+    rc = build_run_config(merge_config(None, [f"training.kappa={math.pi!r}"], None))
+    assert rc.training.kappa == math.pi
+
+
 def test_non_finite_training_values_are_config_errors(tmp_path, capsys):
     # a value that can never run is refused before the run starts; a
     # finite epsilon that overflows the rate still diverges at run time

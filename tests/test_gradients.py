@@ -7,6 +7,7 @@ from hypothesis import strategies as st_
 
 from pmdnet.activation import NodeParams, localized_posterior_rows
 from pmdnet.gradients import (
+    FD_TOL,
     all_gradients,
     build_state,
     finite_difference_check,
@@ -249,6 +250,23 @@ def test_finite_difference_check_detects_corruption():
     report = finite_difference_check(samples, lat, params, 2.0, corrupt_first_component=True)
     assert not report.passed()
     assert max(report.entries, key=lambda e: e.rel_error).kind == "ref"
+
+
+def test_finite_difference_entries_run_bias_weight_ref():
+    rng = np.random.default_rng(30)
+    cfg = LatticeConfig(node_dims=(1, 3), input_window=(1, 3),
+                        neighbourhood_window=(1, 3), leakage_window=(1, 1))
+    lat = get_lattice(cfg)
+    params = make_params(lat, rng)
+    samples = SampleSet(vectors=rng.uniform(-1, 1, (2, lat.input_size)))
+    report = finite_difference_check(samples, lat, params, 2.0, corrupt_first_component=True)
+    got = [(e.kind, e.node, e.component) for e in report.entries]
+    assert got == ([("bias", y, 0) for y in range(3)]
+                   + [(kind, y, c) for kind in ("weight", "ref") for y in range(3) for c in range(3)])
+    # --corrupt perturbs the first ref entry, and only that one fails
+    worst = max(report.entries, key=lambda e: e.rel_error)
+    assert (worst.kind, worst.node, worst.component) == ("ref", 0, 0)
+    assert sum(e.rel_error > FD_TOL for e in report.entries) == 1
 
 
 def test_report_format_text():

@@ -14,6 +14,7 @@ from pmdnet.objective import (
     SampleSet,
     StationaritySolveError,
     bound_from_posterior,
+    bound_weights,
     compute_D1_D2,
     compute_D_exact,
     solve_stationary_refvectors,
@@ -382,14 +383,28 @@ def test_solver_hard_disjoint_posteriors_single_ring():
         assert np.allclose(sol[:, 2:], 0.0, rtol=0, atol=1e-15)
 
 
-def test_solver_error_reports():
+def test_bound_weights_give_the_coefficients_bitwise():
+    # the objective weighs by w1, w2 and the gradients by w1, 2 w2, -2 w1 and
+    # -2 w2; each equals the literal formula it replaced, to the last bit
+    for n in (1.0, 2.0, 3.0, 400.0, 1e6):
+        for m in (1, 8, 100, 1600):
+            w1, w2 = bound_weights(n, m)
+            assert w1 == 2.0 / (n * m)
+            assert w2 == 2.0 * (n - 1.0) / (n * m * m)
+            assert 2.0 * w2 == 4.0 * (n - 1.0) / (n * m * m)
+            assert -2.0 * w1 == -4.0 / (n * m)
+            assert -2.0 * w2 == -4.0 * (n - 1.0) / (n * m * m)
+
+
+def test_solver_error_reports(monkeypatch):
     samples = SampleSet(vectors=np.array([[1.0], [2.0]]))
     dead = np.array([[1.0, 0.0], [1.0, 0.0]])
     with pytest.raises(StationaritySolveError):
         solve_stationary_refvectors(samples, dead, n=2.0)
     ok = np.array([[0.9, 0.1], [0.2, 0.8]])
+    monkeypatch.setattr("pmdnet.objective.STATIONARY_COND_LIMIT", 1.0)
     with pytest.raises(StationaritySolveError):
-        solve_stationary_refvectors(samples, ok, n=2.0, cond_limit=1.0)
+        solve_stationary_refvectors(samples, ok, n=2.0)
 
 
 def test_stationary_form_matches_model_objective_on_common_support():

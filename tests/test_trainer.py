@@ -23,6 +23,8 @@ from pmdnet.datagen import TrainingConfig, parity_mask
 from pmdnet.gradients import GradientSet, gradient_set_from_states, build_state
 from pmdnet.lattice import LatticeConfig, get_lattice
 from pmdnet.trainer import (
+    RATE_CEILING,
+    STREAMS,
     CheckpointError,
     TrainingDivergedError,
     adapt_rates,
@@ -37,6 +39,7 @@ from pmdnet.trainer import (
     new_state,
     next_vector,
     run_training,
+    stream,
     train_step,
 )
 
@@ -59,6 +62,17 @@ def test_init_params_ranges_and_determinism():
     assert np.abs(a.weights).max() <= 0.1
     assert np.all(a.biases == 0.0)
     assert np.all(a.ref_vectors == 0.0)
+
+
+def test_each_stream_keeps_its_id():
+    # the ids every earlier output was drawn with; a changed id changes them all
+    ids = {"init": 0, "data": 1, "heldout": 2, "gradcheck_params": 3, "gradcheck_samples": 4,
+           "bound_oracle": 5}
+    assert STREAMS == ids
+    for seed in (0, 7, 1234):
+        for name, stream_id in ids.items():
+            want = np.random.default_rng([seed, stream_id]).bit_generator.state
+            assert stream(seed, name).bit_generator.state == want
 
 
 def test_new_state_rejects_bad_policy():
@@ -101,6 +115,31 @@ def test_adapt_rates_wide_spread_reported():
     assert diams.tolist() == [8.0, 1.0, 4.0]
     # zero gradients: the tiny regulariser keeps rates finite
     assert np.all(np.isfinite(rates))
+
+
+def test_adapt_rates_caps_finite_rates_only():
+    # spread 1 over mean |gradient| 1e-6 asks for rate 2000 at epsilon 0.002
+    params = NodeParams(weights=np.zeros((2, 1)), biases=np.zeros(2), ref_vectors=np.zeros((2, 1)))
+    gs = zero_grads(2, 1)
+    gs.bias_total[:] = 1e-6
+    gs.weight_total[:] = 0.5
+    rates, _diams, _means = adapt_rates(params, gs, 0.002)
+    assert rates[0] == RATE_CEILING
+    assert rates[1] == 0.002 / (0.5 + 1e-12)  # below the ceiling: the paper's rule
+    # a rate that overflows is not capped, so the step reports it
+    rates, _diams, _means = adapt_rates(params, gs, 1e308)
+    assert rates[0] == np.inf and rates[1] == np.inf
+
+
+def test_default_run_continued_to_8000_updates_stays_finite():
+    # without the rate ceiling the rates run away after about 4000 updates and
+    # this run fails at a neighbourhood with zero activity
+    st = new_state(DEFAULTS.lattice, dataclasses.replace(DEFAULTS.training, updates=8000))
+    run_training(st, 8000)
+    assert st.step == 8000
+    for arr in (st.params.weights, st.params.biases, st.params.ref_vectors):
+        assert np.isfinite(arr).all()
+    assert st.rates.max() <= RATE_CEILING
 
 
 def test_cold_start_diameters_are_unit():
