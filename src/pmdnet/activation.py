@@ -63,27 +63,34 @@ def stable_sigmoid(z):
 
 
 def activities(x_windows: np.ndarray, params: NodeParams) -> np.ndarray:
-    """Sigmoid activities of all nodes, shape (M,), from one input's
-    windowed view x_windows (M, K) = lattice.gather(x)."""
-    return stable_sigmoid(np.einsum("ij,ij->i", params.weights, x_windows) + params.biases)
+    """Sigmoid activities of all nodes, (M,) from one input's windowed view
+    x_windows (M, K) = lattice.gather(x), or (B, M) from a block's (B, M, K).
+    Each row of a block's logits is bitwise that row's own einsum."""
+    return stable_sigmoid(np.einsum("ij,...ij->...i", params.weights, x_windows) + params.biases)
 
 
 def window_denominators(q: np.ndarray, lattice: Lattice) -> np.ndarray:
-    """Per-neighbourhood activity totals: denom[y'] = sum over N(y') of Q."""
+    """Per-neighbourhood activity totals: denom[y'] = sum over N(y') of Q,
+    for one input's activities (M,) or for each row of a block (B, M).  A
+    zero total is reported at the first input that has one, so a block
+    names the node that its inputs, taken one at a time, would."""
     denom = lattice.nbr.matvec(q)
     if (denom <= 0.0).any():
-        dead = int(np.argmin(denom))
-        raise DegenerateActivityError(f"neighbourhood of node {lattice.coords(dead)} has zero activity")
+        first = denom[(denom <= 0.0).any(axis=-1).argmax()] if denom.ndim == 2 else denom
+        raise DegenerateActivityError(
+            f"neighbourhood of node {lattice.coords(int(np.argmin(first)))} has zero activity")
     return denom
 
 
 def localized_posterior_entries(q: np.ndarray, lattice: Lattice) -> np.ndarray:
     """The entries of P in the lattice's neighbourhood layout: entry j is
-    Pr(nbr_indices[j] | x; nbr_rows[j]).  Each entry is one quotient
+    Pr(nbr_indices[j] | x; nbr_rows[j]), (nnz,) for one input's activities
+    (M,) or (B, nnz) for a block's (B, M).  Each entry is one quotient
     Q / denom, so it stays in [0, 1] even where the activities are
     subnormal and 1 / denom would overflow."""
     q = np.asarray(q, dtype=float)
-    return q[lattice.nbr_indices] / window_denominators(q, lattice)[lattice.nbr_rows]
+    denom = window_denominators(q, lattice)
+    return lattice.at_columns(q) / lattice.at_rows(denom)
 
 
 def localized_posterior_rows(q: np.ndarray, lattice: Lattice):

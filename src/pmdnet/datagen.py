@@ -122,14 +122,34 @@ def gen_2d(tc: TrainingConfig, cfg: LatticeConfig, rng: np.random.Generator) -> 
     return vals
 
 
+def sensor_kappa_limit(tc: TrainingConfig, cfg: LatticeConfig) -> tuple[float, str]:
+    """The largest kappa that each sensor's own cells resolve in every wave
+    direction, and its name.
+
+    One sensor (s = 1) owns every cell, so its limit is pi, the grid's own,
+    which TrainingConfig already enforces.  With s = 2 a 1D sensor owns
+    every second cell, so above pi/2 it sees kappa as pi - kappa.  A 2D
+    sensor owns one colour of the chessboard, the lattice spanned by (1, 1)
+    and (1, -1), whose unaliased wavevectors fill |k1| + |k2| <= pi; the
+    largest circle inside that square has radius pi/sqrt(2).
+    """
+    if tc.s == 1:
+        return math.pi, "pi"
+    if cfg.input_dims[0] == 1:  # a 1D run, as in trainer._draw
+        return math.pi / 2.0, "pi/2"
+    return math.pi / math.sqrt(2.0), "pi/sqrt(2)"
+
+
 def validate_kappa(tc: TrainingConfig, cfg: LatticeConfig) -> list[str]:
     """Check that kappa times the input window is close to a multiple of
-    2 pi, which keeps the windowed signal manifold closed.
+    2 pi, which keeps the windowed signal manifold closed, and that kappa
+    stays within each sensor's own limit (sensor_kappa_limit).
 
     Returns a list of warning strings (empty means fine).  Both axes are
     checked; a 1D run's input window is one cell tall (i1 = 1), so only i2
-    can warn.  No warning when the ratio is at least 4: many cycles per
-    window make the mismatch irrelevant.
+    can warn.  No window warning when the ratio is at least 4: many cycles
+    per window make the mismatch irrelevant.  The sensor limit warns only
+    strictly above it, so kappa = pi/2 at 1D s = 2 is quiet.
     """
     warnings = []
     for axis in (0, 1):
@@ -143,5 +163,10 @@ def validate_kappa(tc: TrainingConfig, cfg: LatticeConfig) -> list[str]:
                 f"kappa * i{axis + 1} / 2pi = {ratio:.4f} is {deviation:.3f} away from an "
                 f"integer; windowed signals will not close up"
             )
+    limit, name = sensor_kappa_limit(tc, cfg)
+    if tc.kappa > limit:
+        warnings.append(
+            f"kappa = {tc.kappa:.4f} exceeds {name} = {limit:.4f}, the per-sensor limit with "
+            f"s = {tc.s}; each sensor's cells alias it to a smaller wavenumber"
+        )
     return warnings
-

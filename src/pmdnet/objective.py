@@ -4,7 +4,8 @@ Two routes are implemented on purpose:
 
 * the model objective (compute_D1_D2) evaluated with the scalable leaked
   posterior and windowed residuals, which is what training minimises; its
-  per-input pass (forward) is the one the gradients build on;
+  forward pass, over one input or a block of inputs, is the one the
+  gradients build on;
 * brute-force oracles (compute_D_exact, bound_from_posterior) that evaluate
   the exact multiple-firing distortion and its upper-bound pieces for any
   given posterior, used to verify the decomposition and stationarity;
@@ -31,6 +32,16 @@ STATIONARY_COND_LIMIT = 1e12
 # The most firings the guard admits at M = 2, floor(log2 ENUMERATION_GUARD).
 # It also bounds n at M = 1, where M^n = 1 would pass any n.
 MAX_FIRINGS = ENUMERATION_GUARD.bit_length() - 1
+# compute_D1_D2 runs forward on blocks of BLOCK_CELLS // (M K) samples, at
+# least one.  Measured per sample on a 2-core Xeon VM, over 16 random
+# samples: 20.3 us one at a time and 3.5 us in blocks of 16 at M K = 40,
+# 24.8 and 5.8 us at M K = 330 (blocks of 5280 cells), but 40.8 us one at a
+# time and 62.3-82.6 us in blocks of 2 to 16 at M K = 4900.  The stripe's
+# 64-sample held-out objective (M K = 4100) took 2.5-2.7 ms one at a time
+# and 3.1-3.9 ms in blocks of 2 to 16.  4096 keeps the stripe, 20 x 20 and
+# 40 x 40 runs one sample at a time and puts each 3-sample gradcheck set
+# (M K = 40 and 144) in one block.
+BLOCK_CELLS = 4096
 
 
 class StationaritySolveError(RuntimeError):
@@ -107,7 +118,8 @@ def bound_from_posterior(
 
 @dataclass
 class Forward:
-    """One input vector's pass through the network.
+    """The pass of one input vector, or of a block of B of them, through
+    the network.  For a block every field has a leading B axis.
 
     x_windows  (M, K) the input restricted to each node's window
     q          (M,) sigmoid activities
@@ -132,15 +144,26 @@ class Forward:
 
 
 def forward(x: np.ndarray, lattice: Lattice, params: NodeParams) -> Forward:
-    """Activities, posterior, leaked weights and residuals for one input."""
+    """Activities, posterior, leaked weights and residuals for one input
+    x (D,) or for a block of inputs (B, D), each layer in one call for the
+    whole block.  Each row of a block's fields is bitwise the pass of that
+    input alone."""
     xw = lattice.gather(x)
     q = activities(xw, params)
     post = localized_posterior_entries(q, lattice)
-    p = lattice.nbr.rmatvec(lattice.ones, post)
+    # P^T 1 and W^T (rho d) add per-input entries, so a block runs them
+    # through the column layouts, with the entries as its vectors
+    p = lattice.nbr_columns.matvec(post)
     rho = lattice.leakage.apply_transpose(p)
     d_win = xw - params.ref_vectors
-    e = (d_win**2).sum(axis=1)
-    dbar = lattice.win.rmatvec(rho, d_win.reshape(-1))
+    e = (d_win**2).sum(axis=-1)
+    if xw.ndim == 2:
+        # one input: the one-vector kernel multiplies as it adds, with no
+        # (M, K) temporary rho d to write and then read in column order
+        # (at 40 x 40 that took 85 us against 240)
+        dbar = lattice.win.rmatvec(rho, d_win.reshape(-1))
+    else:
+        dbar = lattice.win_columns.matvec((d_win * rho[..., None]).reshape(len(xw), -1))
     return Forward(x_windows=xw, q=q, post=post, p=p, rho=rho, d_win=d_win, e=e, dbar=dbar)
 
 
@@ -166,11 +189,20 @@ def compute_D1_D2(samples: SampleSet, lattice: Lattice, params: NodeParams, n: f
     w1, w2 = bound_weights(n, lattice.num_nodes)
     d1_acc = 0.0
     d2_acc = 0.0
-    for x in samples.vectors:
-        fw = forward(x, lattice, params)
-        d1_acc += float(fw.rho @ fw.e)
-        d2_acc += float(fw.dbar @ fw.dbar)
     s = samples.size
+    block = max(1, BLOCK_CELLS // (lattice.num_nodes * lattice.window_len))
+    for start in range(0, s, block):
+        if block == 1:  # one input as a vector: as a (1, D) block it cost 13% more at the stripe
+            fw = forward(samples.vectors[start], lattice, params)
+            rows = [(fw.rho, fw.e, fw.dbar)]
+        else:
+            fw = forward(samples.vectors[start:start + block], lattice, params)
+            # a block's rho and dbar have strided rows, and BLAS adds a
+            # strided dot in another order than a contiguous one
+            rows = zip(np.ascontiguousarray(fw.rho), fw.e, np.ascontiguousarray(fw.dbar))
+        for rho, e, dbar in rows:  # in sample order, as one sample at a time
+            d1_acc += float(rho @ e)
+            d2_acc += float(dbar @ dbar)
     return BoundValue(d1=w1 * d1_acc / s, d2=w2 * d2_acc / s)
 
 
@@ -203,10 +235,14 @@ def compute_D_exact(
     pass one set of input checks: every entry at least -1e-15, every row
     summing to 1, n at most MAX_FIRINGS and M^n at most ENUMERATION_GUARD.
 
-    The enumeration is component-major: the tuple centroids are one
-    (dim, T) array over the T = M^n tuples, and squared distances are
-    summed into (T,) arrays one input component at a time, so memory is
-    about dim + 5 doubles per tuple and no (T, dim) temporary is built.
+    The enumeration is component-major: the tuple centroids are dim (T,)
+    arrays over the T = M^n tuples, and squared distances are summed into
+    (T,) arrays one input component at a time, so no (T, dim) temporary is
+    built, nor any array larger than T doubles.  Every per-component
+    temporary is written into one (T,) scratch array, and the tuple masses
+    pr_t are freed once d3 is formed, before the second pass over the
+    samples, so memory peaks at about dim + 3 doubles per tuple (9.2 MB at
+    20^4 tuples and dim 4, against 11.7 MB with a temporary per component).
     Components are added in order k = 0, 1, ..., which matches numpy's row
     sum of a (T, dim) array for dim < 8; from dim = 8 numpy sums a row
     pairwise, so a (T, dim) rendering may differ in the last bits.
@@ -256,23 +292,42 @@ def compute_D_exact(
 
     t = m**n
     pr_t = np.zeros(t)
-    ref_t = np.zeros((dim, t))  # numerators, then tuple centroids
+    ref_t = [np.zeros(t) for _ in range(dim)]  # numerators, then tuple centroids
+    tmp = np.empty(t)  # the one scratch array of every per-component temporary
     for i in range(s):
         probs = _tuple_probs(table[i], factors)
-        pr_t += probs / s
+        pr_t += np.divide(probs, s, out=tmp)
         for k in range(dim):
-            ref_t[k] += probs * x[i, k] / s
+            np.multiply(probs, x[i, k], out=tmp)
+            tmp /= s
+            ref_t[k] += tmp
+        del probs  # before the next row's enumeration allocates its own
     live_t = pr_t > 0.0
-    np.divide(ref_t, pr_t, out=ref_t, where=live_t)
-    ref_t[:, ~live_t] = 0.0  # unattached tuples, as for ref_y
+    for row in ref_t:
+        np.divide(row, pr_t, out=row, where=live_t)
+        row[~live_t] = 0.0  # unattached tuples, as for ref_y
+
+    # d3 before the per-sample pass, so that pr_t is freed first: the mean
+    # of the n slot centroids of each tuple, one component at a time (slot a
+    # is axis a of the (M,)*n tuple grid, row-major as in _tuple_probs)
+    centroid_mean = tmp
+    mean_grid = centroid_mean.reshape((m,) * n)  # a view
+    dist = np.zeros(t)
+    for k in range(dim):
+        centroid_mean.fill(0.0)
+        for a in range(n):
+            mean_grid += ref_y[:, k].reshape((m,) + (1,) * (n - 1 - a))
+        centroid_mean /= n
+        _add_square(dist, np.subtract(ref_t[k], centroid_mean, out=centroid_mean))
+    d3 = 2.0 * float(pr_t @ dist)
+    del pr_t, live_t
 
     d_total = 0.0
     d2 = 0.0
-    dist = np.empty(t)
     for i in range(s):
         dist.fill(0.0)
         for k in range(dim):
-            _add_square(dist, x[i, k] - ref_t[k])
+            _add_square(dist, np.subtract(x[i, k], ref_t[k], out=tmp))
         d_total += float(_tuple_probs(table[i], factors) @ dist)
         if joint is None:  # ||x - sum_y p_y x'(y)||^2
             resid = x[i] - table[i] @ ref_y
@@ -282,19 +337,6 @@ def compute_D_exact(
             d2 += float(np.einsum("ab,ad,bd->", jt[i], dmat, dmat))
     d_total *= 2.0 / s
     d2 *= 2.0 * (n - 1.0) / (n * s)
-
-    # mean of the n slot centroids of each tuple, one component at a time:
-    # slot a is axis a of the (M,)*n tuple grid, row-major as in _tuple_probs
-    centroid_mean = np.empty(t)
-    mean_grid = centroid_mean.reshape((m,) * n)  # a view
-    dist.fill(0.0)
-    for k in range(dim):
-        centroid_mean.fill(0.0)
-        for a in range(n):
-            mean_grid += ref_y[:, k].reshape((m,) + (1,) * (n - 1 - a))
-        centroid_mean /= n
-        _add_square(dist, ref_t[k] - centroid_mean)
-    d3 = 2.0 * float(pr_t @ dist)
     return ExactBound(distortion=d_total, d1=d1, d2=d2, d3=d3)
 
 

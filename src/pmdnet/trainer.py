@@ -299,6 +299,21 @@ def dominance_arrays(params: NodeParams, lattice: Lattice, parity: np.ndarray) -
     return DominanceProfile(a1=out[0], a2=out[1])
 
 
+def stripe_period(profile: DominanceProfile) -> float:
+    """The dominant period, in nodes, of a 1D run's stripes: the length of
+    the interior of a1 - a2 (the outer tenth at each end dropped, nodes
+    10-89 of 100) over the strongest nonzero frequency of its spectrum,
+    with the interior's mean removed."""
+    signal = profile.a1 - profile.a2
+    cut = signal.size // 10
+    signal = signal[cut:signal.size - cut]
+    if signal.size < 2:
+        raise ValueError(f"a stripe period needs at least 2 interior nodes, got {signal.size}")
+    signal = signal - signal.mean()
+    spectrum = np.abs(np.fft.rfft(signal))
+    return signal.size / (int(np.argmax(spectrum[1:])) + 1)
+
+
 def dominance(state: TrainerState) -> DominanceProfile:
     if state.tcfg.s != 2:
         raise ValueError("dominance requires s = 2 (two subspaces to compare)")

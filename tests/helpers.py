@@ -4,8 +4,9 @@ Readable per-node forms of quantities that the package computes in bulk:
 the reference geometry (neighbourhood sets, input-window slices, flat node
 indices) that the Lattice's fixed layouts are checked against, the
 posteriors and the Bayes-centroid reference vectors.  Also dense renderings
-of the package's fixed operators, and the sample-set normalisation that the
-online trainer replaces by a fixed analytic map.
+of the package's fixed operators, the sample-set normalisation that the
+online trainer replaces by a fixed analytic map, and the one-sample-at-a-time
+forward pass and objective that the block forward is checked against.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ from __future__ import annotations
 import numpy as np
 
 from pmdnet.activation import DegenerateActivityError, localized_posterior_entries, stable_sigmoid
-from pmdnet.objective import SampleSet, _check_posterior
+from pmdnet.objective import SampleSet, _check_posterior, bound_weights
 
 
 def _check_node(cfg, y) -> tuple[int, int]:
@@ -135,7 +136,7 @@ def pmd_posterior(q: np.ndarray, lattice) -> np.ndarray:
     contributes total mass 1 and there are M of them.
     """
     post = localized_posterior_entries(q, lattice)
-    return lattice.nbr.rmatvec(lattice.ones, post) / lattice.num_nodes
+    return lattice.nbr.rmatvec(np.ones(lattice.num_nodes), post) / lattice.num_nodes
 
 
 def ref_vectors_from_posterior(
@@ -174,3 +175,33 @@ def normalize_set(samples: SampleSet) -> SampleSet:
         raise DegenerateDataError("constant sample set cannot be normalised")
     scale = 2.0 / (hi - lo)
     return SampleSet(vectors=(samples.vectors - lo) * scale - 1.0)
+
+
+def forward_one(x, lattice, params) -> dict:
+    """The forward pass of one input, one layer at a time on 1-D arrays,
+    each product a one-vector kernel call on the layout the block path
+    replaced: the fields objective.forward must match bitwise."""
+    xw = np.asarray(x, dtype=float).reshape(-1)[lattice.win_idx]
+    q = stable_sigmoid(np.einsum("ij,ij->i", params.weights, xw) + params.biases)
+    denom = lattice.nbr.matvec(q)
+    if (denom <= 0.0).any():
+        dead = int(np.argmin(denom))
+        raise DegenerateActivityError(f"neighbourhood of node {lattice.coords(dead)} has zero activity")
+    post = q[lattice.nbr_indices] / denom[lattice.nbr_rows]
+    p = lattice.nbr.rmatvec(np.ones(lattice.num_nodes), post)
+    rho = lattice.leakage.rmatvec(p)
+    d_win = xw - params.ref_vectors
+    e = (d_win**2).sum(axis=1)
+    dbar = lattice.win.rmatvec(rho, d_win.reshape(-1))
+    return dict(x_windows=xw, q=q, post=post, p=p, rho=rho, d_win=d_win, e=e, dbar=dbar)
+
+
+def objective_one_at_a_time(samples: SampleSet, lattice, params, n: float) -> tuple[float, float]:
+    """(d1, d2) of compute_D1_D2 from forward_one, sample by sample."""
+    w1, w2 = bound_weights(n, lattice.num_nodes)
+    d1_acc = d2_acc = 0.0
+    for x in samples.vectors:
+        fw = forward_one(x, lattice, params)
+        d1_acc += float(fw["rho"] @ fw["e"])
+        d2_acc += float(fw["dbar"] @ fw["dbar"])
+    return w1 * d1_acc / samples.size, w2 * d2_acc / samples.size

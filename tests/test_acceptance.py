@@ -23,6 +23,7 @@ from pmdnet.objective import (
     solve_stationary_refvectors,
 )
 from pmdnet.trainer import (
+    DominanceProfile,
     checkpoint_load,
     checkpoint_save,
     dominance,
@@ -30,6 +31,7 @@ from pmdnet.trainer import (
     heldout_samples,
     new_state,
     run_training,
+    stripe_period,
 )
 
 from helpers import dense_operator, kernels, pmd_posterior
@@ -221,6 +223,20 @@ def test_criterion_6():
             hits += 1
     assert hits >= 3, f"stripe periods {periods}"
     assert np.median(late) < np.median(early)
+
+
+def test_stripe_period_is_criterion_6s_formula():
+    # trainer.stripe_period is the period criterion 6 computes for itself
+    for seed in range(5):
+        st = run_training(new_state(STRIPE_LATTICE, stripe_training(seed)), 3200)
+        prof = dominance(st)
+        signal = (prof.a1 - prof.a2)[10:90]
+        signal = signal - signal.mean()
+        spectrum = np.abs(np.fft.rfft(signal))
+        peak = int(np.argmax(spectrum[1:])) + 1
+        assert stripe_period(prof) == signal.size / peak, seed
+    with pytest.raises(ValueError, match="at least 2 interior nodes"):
+        stripe_period(DominanceProfile(a1=np.zeros(1), a2=np.zeros(1)))
 
 
 def test_criterion_7(tmp_path):

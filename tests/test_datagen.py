@@ -5,7 +5,15 @@ import math
 import numpy as np
 import pytest
 
-from pmdnet.datagen import TrainingConfig, compose_1d, gen_1d, gen_2d, parity_mask, validate_kappa
+from pmdnet.datagen import (
+    TrainingConfig,
+    compose_1d,
+    gen_1d,
+    gen_2d,
+    parity_mask,
+    sensor_kappa_limit,
+    validate_kappa,
+)
 from pmdnet.lattice import LatticeConfig
 from pmdnet.objective import SampleSet
 
@@ -180,6 +188,37 @@ def test_validate_kappa_cases():
     assert len(msgs(0.35, 41)) == 1                # 2.284 cycles, dev 0.284
     assert msgs(0.7, 41) == []                     # 4.57 cycles: ratio >= 4
     assert msgs(0.35, 1) == []                     # pointlike window skipped
+
+
+def test_validate_kappa_warns_strictly_above_the_sensor_limit():
+    stripe = LatticeConfig(node_dims=(1, 50), input_window=(1, 41),
+                           neighbourhood_window=(1, 3), leakage_window=(1, 1))
+    board = LatticeConfig(node_dims=(4, 4), input_window=(9, 9),
+                          neighbourhood_window=(3, 3), leakage_window=(1, 1))
+
+    def sensor_warnings(kappa, s, cfg):
+        return [w for w in validate_kappa(TrainingConfig(kappa=kappa, s=s), cfg) if "per-sensor" in w]
+
+    # the decorrelation test's kappa = pi/2 at 1D s = 2 is at the limit
+    assert sensor_kappa_limit(TrainingConfig(kappa=0.3, s=2), stripe) == (math.pi / 2, "pi/2")
+    assert sensor_warnings(math.pi / 2, 2, stripe) == []
+    above = math.nextafter(math.pi / 2, 4.0)
+    assert sensor_warnings(above, 2, stripe) == [
+        f"kappa = {above:.4f} exceeds pi/2 = 1.5708, the per-sensor limit with s = 2; "
+        f"each sensor's cells alias it to a smaller wavenumber"]
+    assert sensor_warnings(above, 1, stripe) == []  # one sensor owns every cell
+    # the chessboard: |k1| + |k2| <= pi, first left at 45 degrees
+    assert sensor_kappa_limit(TrainingConfig(kappa=0.3, s=2), board) == (math.pi / math.sqrt(2),
+                                                                         "pi/sqrt(2)")
+    assert sensor_warnings(math.pi / math.sqrt(2), 2, board) == []
+    assert len(sensor_warnings(math.nextafter(math.pi / math.sqrt(2), 4.0), 2, board)) == 1
+    assert sensor_warnings(math.pi, 1, board) == []
+    # neither bench config warns at all: the stripe (kappa = 0.3) and 40 x 40
+    # (kappa = 2 pi / 9), both at s = 2
+    assert validate_kappa(TrainingConfig(kappa=0.3, s=2),
+                          LatticeConfig((1, 100), (1, 41), (1, 21), (1, 15))) == []
+    assert validate_kappa(TrainingConfig(kappa=2 * math.pi / 9, s=2),
+                          LatticeConfig((40, 40), (9, 9), (7, 7), (5, 5))) == []
 
 
 def test_validate_kappa_checks_both_axes_in_2d():

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st_
 
+from pmdnet import gradients
 from pmdnet.activation import NodeParams, localized_posterior_rows
 from pmdnet.gradients import (
     FD_TOL,
@@ -250,6 +251,28 @@ def test_finite_difference_check_detects_corruption():
     report = finite_difference_check(samples, lat, params, 2.0, corrupt_first_component=True)
     assert not report.passed()
     assert max(report.entries, key=lambda e: e.rel_error).kind == "ref"
+
+
+def test_finite_difference_check_evaluates_the_objective_twice_per_component(monkeypatch):
+    # one evaluation at +h and one at -h of each component, each over the
+    # whole sample set: the bench's verify eval_ms_p50 times these calls,
+    # so evaluating several perturbations in one call would change its meaning
+    rng = np.random.default_rng(31)
+    lat = get_lattice(LatticeConfig((2, 3), (3, 3), (3, 3), (1, 3)))
+    params = make_params(lat, rng)
+    samples = SampleSet(vectors=rng.uniform(-1, 1, (3, lat.input_size)))
+    calls = []
+    evaluate = gradients.compute_D1_D2
+
+    def counted(s, *args):
+        calls.append(s)
+        return evaluate(s, *args)
+
+    monkeypatch.setattr(gradients, "compute_D1_D2", counted)
+    report = finite_difference_check(samples, lat, params, 3.0)
+    assert len(report.entries) == 6 + 6 * 9 + 6 * 9
+    assert len(calls) == 2 * len(report.entries)
+    assert all(s is samples for s in calls)
 
 
 def test_finite_difference_entries_run_bias_weight_ref():

@@ -302,10 +302,36 @@ def test_sum_operators_equal_bincount_bitwise(instance):
     post, v, u = _wide(rng, len(nbr_cols)), _wide(rng, m), _wide(rng, m)
     assert lat.nbr.matvec(v, post).tobytes() == np.bincount(nbr_rows, post * v[nbr_cols], m).tobytes()
     assert lat.nbr.rmatvec(u, post).tobytes() == np.bincount(nbr_cols, post * u[nbr_rows], m).tobytes()
-    assert lat.nbr.rmatvec(lat.ones, post).tobytes() == np.bincount(nbr_cols, post, m).tobytes()
+    assert lat.nbr.rmatvec(np.ones(m), post).tobytes() == np.bincount(nbr_cols, post, m).tobytes()
     rho, d = _wide(rng, m), _wide(rng, lat.win_idx.shape)
     dbar = np.bincount(lat.win_idx.ravel(), weights=(rho[:, None] * d).ravel(), minlength=lat.input_size)
     assert lat.win.rmatvec(rho, d.reshape(-1)).tobytes() == dbar.tobytes()
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(truncated_geometries(), st_.integers(2, 5))
+def test_block_products_are_bitwise_the_row_products(instance, size):
+    # one multi-vector kernel call per block, every row bitwise its own
+    # one-vector call, with stored entries and with entries passed per call
+    cfg, seed = instance
+    lat = Lattice(cfg)
+    rng = np.random.default_rng(seed)
+    for layout in (lat.nbr, lat.win, lat.leakage, lat.nbr_columns, lat.win_columns):
+        vs, us = _wide(rng, (size, layout.shape[1])), _wide(rng, (size, layout.shape[0]))
+        for data in [_wide(rng, len(layout.indices))] + ([] if layout.data is None else [None]):
+            av, atu = layout.matvec(vs, data), layout.rmatvec(us, data)
+            for b in range(size):
+                assert av[b].tobytes() == layout.matvec(vs[b], data).tobytes()
+                assert atu[b].tobytes() == layout.rmatvec(us[b], data).tobytes()
+    # the column layouts add a block's per-row entries as the one-vector
+    # kernels add one row's: P^T 1 and W^T (rho d)
+    m = lat.num_nodes
+    post = _wide(rng, (size, len(lat.nbr.indices)))
+    rho, d = _wide(rng, (size, m)), _wide(rng, (size,) + lat.win_idx.shape)
+    p, dbar = lat.nbr_columns.matvec(post), lat.win_columns.matvec((d * rho[..., None]).reshape(size, -1))
+    for b in range(size):
+        assert p[b].tobytes() == lat.nbr.rmatvec(np.ones(m), post[b]).tobytes()
+        assert dbar[b].tobytes() == lat.win.rmatvec(rho[b], d[b].reshape(-1)).tobytes()
 
 
 @pytest.mark.parametrize("cfg", [
@@ -348,10 +374,10 @@ def test_shared_geometry_is_read_only():
     # arrays would change every later run in the process
     lat = get_lattice(STRIPE_1D)
     assert lat is get_lattice(STRIPE_1D)
-    arrays = [lat.win_idx, lat.nbr_indices, lat.nbr_rows, lat.ones]
-    for layout in (lat.nbr, lat.win, lat.leakage):
+    arrays = [lat.win_idx, lat.nbr_indices, lat.nbr_rows]
+    for layout in (lat.nbr, lat.win, lat.leakage, lat.nbr_columns, lat.win_columns):
         arrays += [a for a in (layout.indptr, layout.indices, layout.data) if a is not None]
-    assert len(arrays) == 4 + 3 + 2 + 3
+    assert len(arrays) == 3 + 3 + 2 + 3 + 3 + 3
     for arr in arrays:
         with pytest.raises(ValueError, match="read-only"):
             arr[0] = arr[0]
@@ -366,9 +392,9 @@ def test_layouts_refuse_wrong_sizes():
     with pytest.raises(ValueError, match="expected 100 values"):
         lat.win.rmatvec(np.ones((m, 1)), np.ones(len(lat.win.indices)))
     with pytest.raises(ValueError, match=f"expected {len(lat.nbr.indices)} entries"):
-        lat.nbr.rmatvec(lat.ones, np.ones(len(lat.nbr.indices) + 1))
+        lat.nbr.rmatvec(np.ones(m), np.ones(len(lat.nbr.indices) + 1))
     with pytest.raises(ValueError, match="entries"):
-        lat.win.rmatvec(lat.ones)  # W stores no entries
+        lat.win.rmatvec(np.ones(m))  # W stores no entries
 
 
 SRC = Path(__file__).resolve().parents[1] / "src"

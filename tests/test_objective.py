@@ -5,9 +5,13 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st_
 
-from pmdnet.activation import NodeParams, activities
-from pmdnet.lattice import LatticeConfig, get_lattice
+from pmdnet import objective
+from pmdnet.activation import DegenerateActivityError, NodeParams, activities
+from pmdnet.gradients import build_state
+from pmdnet.lattice import Lattice, LatticeConfig, get_lattice
 from pmdnet.objective import (
     ENUMERATION_GUARD,
     MAX_FIRINGS,
@@ -17,11 +21,12 @@ from pmdnet.objective import (
     bound_weights,
     compute_D1_D2,
     compute_D_exact,
+    forward,
     solve_stationary_refvectors,
     stationary_form_value,
 )
 
-from helpers import ref_vectors_from_posterior
+from helpers import forward_one, objective_one_at_a_time, ref_vectors_from_posterior
 from oracle_exact import exact_distortion
 from oracle_expanded import expanded_quantities, random_instance
 
@@ -437,3 +442,70 @@ def test_stationary_form_matches_model_objective_on_common_support():
     const = 2.0 * float((x**2).sum(axis=1).mean())
     form = stationary_form_value(samples, post, sol, n)
     assert abs(model.total - (form + const)) <= 1e-10 * max(1.0, abs(model.total))
+
+
+def _odd(draw, upper):
+    return 2 * draw(st_.integers(0, upper)) + 1
+
+
+@st_.composite
+def block_instances(draw):
+    """A small 1D or 2D lattice whose neighbourhood and leakage windows are
+    often cut at the edges, with K >= 9 so that window sums run numpy's
+    pairwise summation; 1-7 samples; a block size that need not divide
+    them; a seed."""
+    if draw(st_.booleans()):
+        cfg = LatticeConfig(node_dims=(1, draw(st_.integers(1, 8))),
+                            input_window=(1, draw(st_.sampled_from([9, 11]))),
+                            neighbourhood_window=(1, _odd(draw, 4)), leakage_window=(1, _odd(draw, 3)))
+    else:
+        cfg = LatticeConfig(node_dims=(draw(st_.integers(2, 4)), draw(st_.integers(2, 4))),
+                            input_window=draw(st_.sampled_from([(3, 3), (3, 5), (5, 3)])),
+                            neighbourhood_window=(_odd(draw, 2), _odd(draw, 2)),
+                            leakage_window=(_odd(draw, 2), _odd(draw, 1)))
+    return cfg, draw(st_.integers(1, 7)), draw(st_.integers(1, 7)), draw(st_.integers(0, 2**32 - 1))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(block_instances())
+def test_blocks_are_bitwise_the_one_sample_loop(instance):
+    cfg, size, block, seed = instance
+    lat = Lattice(cfg)
+    rng = np.random.default_rng(seed)
+    params = random_params(lat, rng)
+    # magnitudes over four decades, so that another order of addition
+    # would change the rounded sums
+    xs = rng.standard_normal((size, lat.input_size)) * 10.0 ** rng.uniform(-3, 1, (size, lat.input_size))
+    samples = SampleSet(vectors=xs)
+    saved = objective.BLOCK_CELLS
+    objective.BLOCK_CELLS = block * lat.num_nodes * lat.window_len
+    try:
+        got = compute_D1_D2(samples, lat, params, 3.0)
+    finally:
+        objective.BLOCK_CELLS = saved
+    assert (got.d1, got.d2) == objective_one_at_a_time(samples, lat, params, 3.0)
+    fw = forward(xs, lat, params)  # the whole set as one block
+    assert fw.x_windows.flags.c_contiguous
+    for i, x in enumerate(xs):
+        state = build_state(x, lat, params)
+        for name, want in forward_one(x, lat, params).items():
+            assert getattr(fw, name)[i].tobytes() == want.tobytes(), name
+            assert getattr(state, name).tobytes() == want.tobytes(), name
+
+
+def test_a_block_names_the_dead_node_of_its_first_failing_sample():
+    # sample 1 kills the neighbourhoods of nodes 3-7 and sample 2 those of
+    # nodes 0-4; one sample at a time, sample 1 fails first, at node 3
+    lat = get_lattice(LatticeConfig((1, 8), (1, 5), (1, 3), (1, 3)))
+    params = NodeParams(weights=np.ones((8, 5)), biases=np.zeros(8), ref_vectors=np.zeros((8, 5)))
+    xs = np.zeros((4, lat.input_size))
+    xs[1, 6:] = -1e4  # every window from node 2 on reaches a cell below -745
+    xs[2, :6] = -1e4
+    samples = SampleSet(vectors=xs)
+    with pytest.raises(DegenerateActivityError) as one_at_a_time:
+        objective_one_at_a_time(samples, lat, params, 2.0)
+    assert str(one_at_a_time.value) == "neighbourhood of node (0, 3) has zero activity"
+    assert objective.BLOCK_CELLS // (8 * 5) >= 4  # the set is one block
+    with pytest.raises(DegenerateActivityError) as block:
+        compute_D1_D2(samples, lat, params, 2.0)
+    assert str(block.value) == str(one_at_a_time.value)
