@@ -77,7 +77,7 @@ def _ptp(post: np.ndarray, lattice: Lattice, v: np.ndarray) -> np.ndarray:
 def build_state(x: np.ndarray, lattice: Lattice, params: NodeParams) -> ActivationState:
     """Evaluate and cache everything the derivative formulas need for one
     input vector."""
-    fw = forward(np.asarray(x).reshape(-1), lattice, params)
+    fw = forward(x, lattice, params)
     dbar_win = fw.dbar[lattice.win_idx]
     h = np.einsum("ij,ij->i", fw.d_win, dbar_win)
     le = lattice.leakage.apply(fw.e)

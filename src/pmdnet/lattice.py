@@ -12,16 +12,17 @@ m1 = 1).  Every node owns three rectangular top-hat windows:
 All boundaries are non-periodic.  The config alone fixes this geometry:
 LatticeConfig gives the sizes K and D, and _window_csr builds every window.
 
-Every sparse product on the lattice runs on one of five fixed CSR layouts,
+Every sparse product on the lattice runs on one of three fixed CSR layouts,
 built once per Lattice and frozen: the neighbourhood layout N (M x M), the
-window layout W (M x D), the leakage L (M x M, with its weights) and the
-column layouts of N and W.  A layout applies A v and A^T u in one kernel
-call each, to one vector or to every row of a block, with its stored
-entries or with entries passed in per call (the posterior P is N with the
-entries of one input), with 32-bit indices.  A block shares the entries, so
-the sums whose entries change per input (P^T 1 and W^T (rho d)) run on the
-column layouts, with the entries as the block's vectors.  The kernels load
-without scipy.sparse.
+window layout W (M x D) and the leakage L (M x M, with its weights).  A
+layout applies A v and A^T u to one vector in one kernel call each, with its
+stored entries or with entries passed in per call (the posterior P is N with
+the entries of one input), with 32-bit indices.  Its kernels load without
+scipy.sparse.
+
+No window crosses between inputs, so B inputs are one input to a lattice of
+B stacked copies: Lattice(cfg, copies) tiles every layout and index array
+block-diagonally, and get_lattice caches it with the one-copy lattice.
 """
 
 from __future__ import annotations
@@ -69,10 +70,7 @@ NodeIndex = tuple[int, int]
 # areas of the input, neighbourhood and leakage windows.  A 200 x 200
 # training run measured at most 84 bytes per cell (input-window cells; 48
 # per neighbourhood cell, 19 per leakage cell), so the bound holds a lattice
-# to about 0.84 GB.  The column layouts, added since, hold a 4-byte position
-# per input-window and per neighbourhood cell and one 8-byte weight per
-# input-window cell: at most 12 more bytes per cell, about 0.96 GB in all.
-# The bench's 40 x 40 geometry has 248 000 cells.
+# to about 0.84 GB.  The bench's 40 x 40 geometry has 248 000 cells.
 LATTICE_MAX_CELLS = 10_000_000
 
 
@@ -176,13 +174,12 @@ class CSRLayout:
     def __init__(self, shape: tuple[int, int], indptr: np.ndarray, indices: np.ndarray,
                  data: np.ndarray | None = None):
         # 32-bit indices: smaller, and the product runs faster.  Every layout
-        # is a Lattice's, whose D <= M K and nnz stay within LATTICE_MAX_CELLS.
-        # float64 entries are kept, not copied, so that the column layouts
-        # share one array of ones; they are frozen with the rest
+        # is a Lattice's, whose D <= M K and nnz stay within LATTICE_MAX_CELLS
+        # (a stacked lattice's within BLOCK_CELLS)
         self.shape = shape
         self.indptr = indptr.astype(np.int32)
         self.indices = indices.astype(np.int32)
-        self.data = None if data is None else data.astype(float, copy=False)
+        self.data = None if data is None else data.astype(float)
         _freeze(*(a for a in (self.indptr, self.indices, self.data) if a is not None))
 
     def _entries(self, data: np.ndarray | None) -> np.ndarray:
@@ -194,44 +191,35 @@ class CSRLayout:
         return data
 
     def matvec(self, v: np.ndarray, data: np.ndarray | None = None) -> np.ndarray:
-        """A v, for one vector v (n,) or for each row of a block (B, n)."""
+        """A v."""
         if v.shape != self.shape[1:]:
-            return self._block(_sparsetools.csr_matvecs, *self.shape, v, data)
+            raise ValueError(f"expected {self.shape[1]} values, got shape {v.shape}")
         out = np.zeros(self.shape[0])
         _sparsetools.csr_matvec(*self.shape, self.indptr, self.indices, self._entries(data), v, out)
         return out
 
     def rmatvec(self, u: np.ndarray, data: np.ndarray | None = None) -> np.ndarray:
-        """A^T u, for one vector u (m,) or for each row of a block (B, m)."""
+        """A^T u."""
         if u.shape != self.shape[:1]:
-            return self._block(_sparsetools.csc_matvecs, self.shape[1], self.shape[0], u, data)
+            raise ValueError(f"expected {self.shape[0]} values, got shape {u.shape}")
         out = np.zeros(self.shape[1])
         _sparsetools.csc_matvec(self.shape[1], self.shape[0], self.indptr, self.indices,
                                 self._entries(data), u, out)
         return out
 
-    def _block(self, kernel, n_out: int, n_in: int, v: np.ndarray, data) -> np.ndarray:
-        """One multi-vector kernel call for a block v (B, n_in).  The kernels
-        read and write (n, B) arrays, and each output adds its terms in the
-        one-vector kernel's order, so every row of the result is bitwise the
-        product of that row alone."""
-        if v.ndim != 2 or v.shape[1] != n_in:
-            raise ValueError(f"expected {n_in} values, got shape {v.shape}")
-        out = np.zeros((n_out, len(v)))
-        kernel(n_out, n_in, len(v), self.indptr, self.indices, self._entries(data), v.T, out)
-        return out.T
-
-
-def _column_layout(layout: CSRLayout, unit: np.ndarray) -> CSRLayout:
-    """For each column of layout, the positions of its entries, in the
-    increasing order in which rmatvec adds them, with unit weights (a prefix
-    of unit, a shared array of ones).  Applied to a row of per-input entries
-    t it gives the column sums of A with those entries, bitwise
-    layout.rmatvec(1, t), for every row of a block at once."""
-    counts = np.bincount(layout.indices, minlength=layout.shape[1])
-    nnz = len(layout.indices)
-    return CSRLayout((layout.shape[1], nnz), np.concatenate([[0], np.cumsum(counts)]),
-                     np.argsort(layout.indices, kind="stable"), unit[:nnz])
+    def tile(self, copies: int) -> CSRLayout:
+        """The block-diagonal matrix of `copies` copies of A: copy c's rows
+        list A's entries in A's order, with the columns shifted by c n.  Each
+        output of a product adds its terms in the order of A's own product,
+        so copy c's slice of a product is bitwise A's product of that slice.
+        One copy is A itself."""
+        if copies == 1:
+            return self
+        (m, n), nnz = self.shape, len(self.indices)
+        shift = np.arange(copies)[:, None]
+        indptr = np.append((self.indptr[:-1] + nnz * shift).reshape(-1), copies * nnz)
+        data = None if self.data is None else np.tile(self.data, copies)
+        return type(self)((copies * m, copies * n), indptr, (self.indices + n * shift).reshape(-1), data)
 
 
 class LeakageMatrix(CSRLayout):
@@ -259,95 +247,76 @@ def build_leakage(cfg: LatticeConfig) -> LeakageMatrix:
 
 
 class Lattice:
-    """Precomputed geometry used by the hot paths.
+    """Precomputed geometry used by the hot paths, for one input or, with
+    copies = B, for B inputs side by side: B disjoint copies of the lattice,
+    whose nodes, input cells and layout entries are copy-major.
 
-    Every array it hands out is read-only after construction; the gathers
-    index with the writeable arrays behind those views (see __init__), which
-    nothing writes to.  The tests cross-check it against per-node reference
-    geometry (neighbourhood sets and input-window slices) kept in
-    tests/helpers.py.
+    Every array is read-only after construction.  The tests cross-check it
+    against per-node reference geometry (neighbourhood sets and input-window
+    slices) kept in tests/helpers.py.
 
     Attributes:
-        cfg          the LatticeConfig
-        num_nodes    M
-        window_len, input_size  K and D, read from cfg
+        cfg          the LatticeConfig of one copy
+        copies       B, the copies side by side (1 unless stacked)
+        num_nodes    M, over all copies (B cfg.num_nodes)
+        window_len   K, read from cfg
+        input_size   D, over all copies (B cfg.input_size)
         nbr          the neighbourhood layout N, M x M with stored ones: row
                      y' lists N(y') in row-major order, so nbr.matvec(q)
                      holds the window sums and N with the posterior entries
                      as data is P[y', y] = Pr(y|x; y')
         nbr_indices, nbr_rows
                      the column y and the row y' of every entry of N
-        win_idx      (M, K) flat indices of each node's input window
+        ones         (M,) ones, so nbr.rmatvec(ones, post) is P^T 1
+        win_idx      (M, K) flat indices of each node's input window; on B
+                     copies (B, M, K), one (M, K) block per copy, so that
+                     one copy's (M, K) parameters broadcast over them
         win          the window layout W, M x D: row y lists the cells of
                      y's input window, so win.rmatvec(u, d) adds u_y d_y,
                      over windowed (M, K) entries d, into input space
-        leakage      the LeakageMatrix for cfg
-        nbr_columns, win_columns
-                     the column layouts of N and W (M x nnz and D x M K):
-                     nbr_columns.matvec(post) is P^T 1, and
-                     win_columns.matvec(u d) is win.rmatvec(u, d), each for
-                     one input or every row of a block.  They are built
-                     here, with the lattice, so a rebuilt lattice never
-                     meets another's layouts.
+        leakage      the LeakageMatrix, L for cfg tiled over the copies
     """
 
-    def __init__(self, cfg: LatticeConfig):
-        self.cfg = cfg
-        self.num_nodes = m = cfg.num_nodes
-        self.window_len, self.input_size = cfg.window_len, cfg.input_size
+    def __init__(self, cfg: LatticeConfig, copies: int = 1):
+        self.cfg, self.copies = cfg, copies
+        m, d = cfg.num_nodes, cfg.input_size
+        self.num_nodes, self.window_len, self.input_size = copies * m, cfg.window_len, copies * d
         window = cfg.neighbourhood_window
         nbr_indptr, nbr_indices = _window_csr(cfg.node_dims, cfg.node_dims, window,
                                               [-(w // 2) for w in window])
-        nbr_rows = np.repeat(np.arange(m), np.diff(nbr_indptr))
-        self.nbr = CSRLayout((m, m), nbr_indptr, nbr_indices, np.ones(len(nbr_indices)))
-
-        # a clipped input window would fail the (M, K) reshape
         win_indptr, win_indices = _window_csr(cfg.node_dims, cfg.input_dims, cfg.input_window, (0, 0))
-        win_idx = win_indices.reshape(m, self.window_len)
-        self.win = CSRLayout((m, self.input_size), win_indptr, win_indices)
-        self.leakage = build_leakage(cfg)
-        unit = np.ones(max(len(nbr_indices), len(win_indices)))
-        self.nbr_columns, self.win_columns = (_column_layout(a, unit) for a in (self.nbr, self.win))
-        # np.take copies a read-only index on every call (at 40 x 40 that
-        # made a gather 1.5 to 7 times slower than with a writeable index),
-        # so the gathers take with these writeable arrays, which nothing
-        # writes to, and the attributes are read-only views of them
-        self._take = {"win": win_idx, "cols": nbr_indices, "rows": nbr_rows}
-        self.win_idx, self.nbr_indices, self.nbr_rows = (a.view() for a in self._take.values())
-        _freeze(self.nbr_indices, self.nbr_rows, self.win_idx)
+        self.nbr, self.win, self.leakage = (a.tile(copies) for a in (
+            CSRLayout((m, m), nbr_indptr, nbr_indices, np.ones(len(nbr_indices))),
+            CSRLayout((m, d), win_indptr, win_indices), build_leakage(cfg)))
+        # 64-bit copies of the tiled indices: numpy indexes with 32-bit ones
+        # about three times slower (a clipped input window would fail the
+        # (M, K) reshape)
+        self.nbr_indices = self.nbr.indices.astype(np.intp)
+        self.nbr_rows = np.repeat(np.arange(self.num_nodes), np.diff(self.nbr.indptr))
+        blocks = (m, self.window_len) if copies == 1 else (copies, m, self.window_len)
+        self.win_idx = self.win.indices.astype(np.intp).reshape(blocks)
+        self.ones = np.ones(self.num_nodes)
+        _freeze(self.nbr_indices, self.nbr_rows, self.win_idx, self.ones)
 
     def coords(self, flat: int) -> NodeIndex:
+        """The node of flat index `flat`, within its own copy."""
         m2 = self.cfg.node_dims[1]
-        return (int(flat) // m2, int(flat) % m2)
+        flat = int(flat) % self.cfg.num_nodes
+        return (flat // m2, flat % m2)
 
     def gather(self, x: np.ndarray) -> np.ndarray:
-        """Windowed view of one input vector (D,) or of each row of a block
-        (B, D): x restricted to each node's input window, (M, K) or
-        (B, M, K).  Every pass over an input starts here, so a NaN or inf in
-        x is refused as bad input before it can surface as a non-finite
-        activity or gradient."""
-        x = np.asarray(x, dtype=float)
-        if x.ndim > 2 or x.shape[-1] != self.input_size:
-            raise ValueError(f"expected one input of {self.input_size} values (input_dims "
-                             f"{self.cfg.input_dims}) or a block (B, {self.input_size}), "
-                             f"got shape {x.shape}")
-        if not np.isfinite(x).all():
+        """Windowed view of one input vector: (M, K) array of x restricted
+        to each node's input window, shaped like win_idx (on B copies
+        (B, M, K)).  Every pass over an input starts here,
+        so a NaN or inf in x is refused as bad input before it can surface
+        as a non-finite activity or gradient."""
+        flat = np.asarray(x, dtype=float).reshape(-1)
+        if flat.shape[0] != self.input_size:
+            raise ValueError(f"input length {flat.shape[0]} does not match the lattice's "
+                             f"{self.input_size} input cells (input_dims {self.cfg.input_dims})")
+        if not np.isfinite(flat).all():
             raise ValueError("input vector must be finite")
-        # np.take lays a block out C-contiguous.  x[:, win_idx] would make
-        # B the fastest axis, and the window sums downstream would then add
-        # in another order (the 4 x 4 gradcheck logits and e then differ in
-        # their last bits).
-        return x.take(self._take["win"], axis=-1)
-
-    def at_columns(self, v: np.ndarray) -> np.ndarray:
-        """v[..., nbr_indices]: per-node values v, (M,) or (B, M), read at
-        the column of every entry of N."""
-        return v.take(self._take["cols"], axis=-1)
-
-    def at_rows(self, v: np.ndarray) -> np.ndarray:
-        """v[..., nbr_rows]: per-node values v, (M,) or (B, M), read at the
-        row of every entry of N."""
-        return v.take(self._take["rows"], axis=-1)
+        return flat[self.win_idx]
 
     def scatter_rows(self, rows: np.ndarray) -> np.ndarray:
         """Embed per-node windowed rows (M, K) into full input space (M, D),
@@ -359,7 +328,16 @@ class Lattice:
 
 
 @lru_cache(maxsize=32)
-def get_lattice(cfg: LatticeConfig) -> Lattice:
-    """The one cached Lattice for a config, shared by every caller; the
-    config is frozen and so are the Lattice's arrays."""
-    return Lattice(cfg)
+def _cached_lattice(cfg: LatticeConfig, copies: int) -> Lattice:
+    return Lattice(cfg, copies)
+
+
+def get_lattice(cfg: LatticeConfig, copies: int = 1) -> Lattice:
+    """The one cached Lattice for a config and a number of copies, shared by
+    every caller; the config is frozen and so are the Lattice's arrays.
+    get_lattice(cfg) and get_lattice(cfg, 1) are the one object, and
+    cache_clear drops every lattice, stacked ones included."""
+    return _cached_lattice(cfg, copies)
+
+
+get_lattice.cache_clear = _cached_lattice.cache_clear

@@ -4,8 +4,8 @@ Two routes are implemented on purpose:
 
 * the model objective (compute_D1_D2) evaluated with the scalable leaked
   posterior and windowed residuals, which is what training minimises; its
-  forward pass, over one input or a block of inputs, is the one the
-  gradients build on;
+  per-input pass (forward) is the one the gradients build on, and it runs
+  a block of inputs as one input to a lattice of stacked copies;
 * brute-force oracles (compute_D_exact, bound_from_posterior) that evaluate
   the exact multiple-firing distortion and its upper-bound pieces for any
   given posterior, used to verify the decomposition and stationarity;
@@ -18,13 +18,14 @@ sample set, so every integral is a finite sum.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 
 from .activation import NodeParams, activities, localized_posterior_entries
-from .lattice import Lattice
+from .lattice import Lattice, get_lattice
 
 ENUMERATION_GUARD = 1_000_000
 # solve_stationary_refvectors refuses a system whose condition number exceeds this
@@ -33,14 +34,14 @@ STATIONARY_COND_LIMIT = 1e12
 # It also bounds n at M = 1, where M^n = 1 would pass any n.
 MAX_FIRINGS = ENUMERATION_GUARD.bit_length() - 1
 # compute_D1_D2 runs forward on blocks of BLOCK_CELLS // (M K) samples, at
-# least one.  Measured per sample on a 2-core Xeon VM, over 16 random
-# samples: 20.3 us one at a time and 3.5 us in blocks of 16 at M K = 40,
-# 24.8 and 5.8 us at M K = 330 (blocks of 5280 cells), but 40.8 us one at a
-# time and 62.3-82.6 us in blocks of 2 to 16 at M K = 4900.  The stripe's
-# 64-sample held-out objective (M K = 4100) took 2.5-2.7 ms one at a time
-# and 3.1-3.9 ms in blocks of 2 to 16.  4096 keeps the stripe, 20 x 20 and
-# 40 x 40 runs one sample at a time and puts each 3-sample gradcheck set
-# (M K = 40 and 144) in one block.
+# least one, each block as one input to that many stacked lattice copies.
+# Measured per sample on a 2-core Xeon VM, over 16 random samples: 26-28 us
+# one at a time and 4.5 us in blocks of 16 at M K = 40 (29 and 6.6 us at
+# M K = 330), but 223-232 us one at a time and 335-421 us in blocks of 2 to
+# 16 at 20 x 20 (M K = 32 400).  At the stripe (M K = 4100) blocks of 2 took
+# 40 us against 50-51 us, and blocks of 4 to 16 took 58-75 us.  4096 keeps
+# the stripe, 20 x 20 and 40 x 40 runs one sample at a time and puts each
+# 3-sample gradcheck set (M K = 40 and 144) in one block.
 BLOCK_CELLS = 4096
 
 
@@ -118,8 +119,10 @@ def bound_from_posterior(
 
 @dataclass
 class Forward:
-    """The pass of one input vector, or of a block of B of them, through
-    the network.  For a block every field has a leading B axis.
+    """One input vector's pass through the network.  On a lattice of B
+    stacked copies the input is B inputs side by side, and so is every
+    field: copy c's slice is the pass of input c alone, bitwise.  There
+    x_windows and d_win are (B, M, K) and M and D count every copy.
 
     x_windows  (M, K) the input restricted to each node's window
     q          (M,) sigmoid activities
@@ -144,26 +147,15 @@ class Forward:
 
 
 def forward(x: np.ndarray, lattice: Lattice, params: NodeParams) -> Forward:
-    """Activities, posterior, leaked weights and residuals for one input
-    x (D,) or for a block of inputs (B, D), each layer in one call for the
-    whole block.  Each row of a block's fields is bitwise the pass of that
-    input alone."""
-    xw = lattice.gather(x)
-    q = activities(xw, params)
+    """Activities, posterior, leaked weights and residuals for one input."""
+    xw = lattice.gather(x)  # on B copies (B, M, K): the (M, K) parameters broadcast
+    q = activities(xw, params).reshape(-1)
     post = localized_posterior_entries(q, lattice)
-    # P^T 1 and W^T (rho d) add per-input entries, so a block runs them
-    # through the column layouts, with the entries as its vectors
-    p = lattice.nbr_columns.matvec(post)
+    p = lattice.nbr.rmatvec(lattice.ones, post)
     rho = lattice.leakage.apply_transpose(p)
     d_win = xw - params.ref_vectors
-    e = (d_win**2).sum(axis=-1)
-    if xw.ndim == 2:
-        # one input: the one-vector kernel multiplies as it adds, with no
-        # (M, K) temporary rho d to write and then read in column order
-        # (at 40 x 40 that took 85 us against 240)
-        dbar = lattice.win.rmatvec(rho, d_win.reshape(-1))
-    else:
-        dbar = lattice.win_columns.matvec((d_win * rho[..., None]).reshape(len(xw), -1))
+    e = (d_win**2).sum(axis=-1).reshape(-1)
+    dbar = lattice.win.rmatvec(rho, d_win.reshape(-1))
     return Forward(x_windows=xw, q=q, post=post, p=p, rho=rho, d_win=d_win, e=e, dbar=dbar)
 
 
@@ -173,8 +165,13 @@ def bound_weights(n: float, m: int) -> tuple[float, float]:
 
     The gradient coefficients are these weights times powers of two, so
     each equals its own formula's rounded value unless a weight underflows.
+    Where 2 n M^2 overflows (n near the largest float; 2 (n-1) overflows
+    first at M = 1), each weight is divided out one factor at a time, n last
+    in w1, so that w1, below the normal range there, is rounded only once.
     """
-    return 2.0 / (n * m), 2.0 * (n - 1.0) / (n * m * m)
+    if math.isfinite(2.0 * n * m * m):
+        return 2.0 / (n * m), 2.0 * (n - 1.0) / (n * m * m)
+    return 2.0 / m / n, 2.0 * ((n - 1.0) / n) / m / m
 
 
 def compute_D1_D2(samples: SampleSet, lattice: Lattice, params: NodeParams, n: float) -> BoundValue:
@@ -183,25 +180,26 @@ def compute_D1_D2(samples: SampleSet, lattice: Lattice, params: NodeParams, n: f
     The per-node weight is rho(y) = (L^T p)_y where p_y sums the localized
     posteriors of every window containing y.  Residuals are windowed: only
     components inside node y's input window contribute for node y.
+
+    Samples run in blocks of b = BLOCK_CELLS // (M K), at least one: each
+    block is one input to the cached lattice of b copies, and each copy's
+    terms are added in sample order, so the result is bitwise the one-sample
+    loop's.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
-    w1, w2 = bound_weights(n, lattice.num_nodes)
+    m, d = lattice.cfg.num_nodes, lattice.cfg.input_size
+    w1, w2 = bound_weights(n, m)
     d1_acc = 0.0
     d2_acc = 0.0
     s = samples.size
-    block = max(1, BLOCK_CELLS // (lattice.num_nodes * lattice.window_len))
+    block = max(1, BLOCK_CELLS // (m * lattice.window_len))
     for start in range(0, s, block):
-        if block == 1:  # one input as a vector: as a (1, D) block it cost 13% more at the stripe
-            fw = forward(samples.vectors[start], lattice, params)
-            rows = [(fw.rho, fw.e, fw.dbar)]
-        else:
-            fw = forward(samples.vectors[start:start + block], lattice, params)
-            # a block's rho and dbar have strided rows, and BLAS adds a
-            # strided dot in another order than a contiguous one
-            rows = zip(np.ascontiguousarray(fw.rho), fw.e, np.ascontiguousarray(fw.dbar))
-        for rho, e, dbar in rows:  # in sample order, as one sample at a time
-            d1_acc += float(rho @ e)
+        xs = samples.vectors[start:start + block]  # one input, however many rows
+        fw = forward(xs, lattice if len(xs) == 1 else get_lattice(lattice.cfg, len(xs)), params)
+        for c in range(len(xs)):  # each copy's terms, in sample order
+            dbar = fw.dbar[c * d:(c + 1) * d]
+            d1_acc += float(fw.rho[c * m:(c + 1) * m] @ fw.e[c * m:(c + 1) * m])
             d2_acc += float(dbar @ dbar)
     return BoundValue(d1=w1 * d1_acc / s, d2=w2 * d2_acc / s)
 

@@ -347,7 +347,7 @@ def checkpoint_save(state: TrainerState, path) -> None:
     blob += struct.pack("<Q", len(header))
     blob += header
     for arr in (state.params.weights, state.params.biases, state.params.ref_vectors):
-        blob += np.ascontiguousarray(arr, dtype="<f8").tobytes()
+        blob += np.asarray(arr, dtype="<f8").tobytes()  # tobytes writes C order
     blob += hashlib.sha256(bytes(blob)).digest()
     # write a temporary file beside the target and rename it over the
     # target, so a failed write never leaves a truncated checkpoint behind

@@ -6,7 +6,7 @@ indices) that the Lattice's fixed layouts are checked against, the
 posteriors and the Bayes-centroid reference vectors.  Also dense renderings
 of the package's fixed operators, the sample-set normalisation that the
 online trainer replaces by a fixed analytic map, and the one-sample-at-a-time
-forward pass and objective that the block forward is checked against.
+forward pass and objective that the stacked-copy blocks are checked against.
 """
 
 from __future__ import annotations
@@ -178,9 +178,10 @@ def normalize_set(samples: SampleSet) -> SampleSet:
 
 
 def forward_one(x, lattice, params) -> dict:
-    """The forward pass of one input, one layer at a time on 1-D arrays,
-    each product a one-vector kernel call on the layout the block path
-    replaced: the fields objective.forward must match bitwise."""
+    """The forward pass of one input, one layer at a time on 1-D arrays on
+    the one-copy lattice, each product a one-vector kernel call: the fields
+    objective.forward must match bitwise, on that lattice and in each copy
+    of a stacked one."""
     xw = np.asarray(x, dtype=float).reshape(-1)[lattice.win_idx]
     q = stable_sigmoid(np.einsum("ij,ij->i", params.weights, xw) + params.biases)
     denom = lattice.nbr.matvec(q)

@@ -166,6 +166,13 @@ def test_gradcheck_tolerates_rounding_noise(argv, capsys):
     assert "FAIL" in capsys.readouterr().out
 
 
+def test_gradcheck_passes_at_the_largest_admitted_n(capsys):
+    # n M^2 overflows, and the bound's weights must not become nan
+    assert main(["gradcheck", "--override", f"training.n={10**308}"]) == 0
+    out = capsys.readouterr().out
+    assert "PASS" in out and "nan" not in out
+
+
 def test_gradcheck_detects_corruption(capsys):
     assert main(["gradcheck", "--corrupt"]) == 1
     assert "FAIL" in capsys.readouterr().out
@@ -301,6 +308,18 @@ def test_phase_outputs(tmp_path, capsys):
     assert n1[0][2] == "type1" and n1[0][3] == "type2"
     ninf = [r for r in rows if r[0] == "inf" and float(r[1]) > 3]
     assert len(ninf) == 1 and abs(float(ninf[0][1]) - 8.0) < 1e-4
+
+
+def test_train_at_the_largest_admitted_n(tmp_path, capsys):
+    # the stripe at n = 1e308, where n M^2 overflows: the coherent weight
+    # is about 2 / M^2, so d2 is finite and positive at every report
+    out = tmp_path / "out"
+    assert main(["train", "--out-dir", str(out), "--override", f"training.n={10**308}",
+                 "--override", "training.updates=3", "--report-every", "1"]) == 0
+    capsys.readouterr()
+    header, rows = read_csv(out / "objective_trace.csv")
+    assert [int(r[0]) for r in rows] == [0, 1, 2, 3]
+    assert all(0.0 < float(r[2]) < math.inf for r in rows)
 
 
 def test_train_tiny_run_outputs(tmp_path, capsys):

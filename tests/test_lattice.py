@@ -249,6 +249,11 @@ def test_lattice_neighbour_rows_match_sets():
 def test_get_lattice_caches():
     assert get_lattice(STRIPE_1D) is get_lattice(STRIPE_1D)
     assert isinstance(get_lattice(STRIPE_1D), Lattice)
+    assert get_lattice(STRIPE_1D) is get_lattice(STRIPE_1D, 1) is get_lattice(STRIPE_1D, copies=1)
+    stacked = get_lattice(STRIPE_1D, 3)
+    assert stacked is get_lattice(STRIPE_1D, 3) and stacked.copies == 3
+    get_lattice.cache_clear()  # drops the stacked lattices too
+    assert get_lattice(STRIPE_1D, 3) is not stacked
 
 
 def _odd(draw, upper):
@@ -311,27 +316,27 @@ def test_sum_operators_equal_bincount_bitwise(instance):
 @settings(max_examples=40, deadline=None, derandomize=True)
 @given(truncated_geometries(), st_.integers(2, 5))
 def test_block_products_are_bitwise_the_row_products(instance, size):
-    # one multi-vector kernel call per block, every row bitwise its own
-    # one-vector call, with stored entries and with entries passed per call
+    # a block of vectors is one vector to the layout tiled over that many
+    # copies: each copy's slice of the product is bitwise the one-copy
+    # product of that row, with stored entries and with entries passed per
+    # call; and the tiled layout is the block-diagonal matrix of the copies
     cfg, seed = instance
-    lat = Lattice(cfg)
+    lat, stacked = Lattice(cfg), Lattice(cfg, size)
     rng = np.random.default_rng(seed)
-    for layout in (lat.nbr, lat.win, lat.leakage, lat.nbr_columns, lat.win_columns):
+    for layout, tiled in zip((lat.nbr, lat.win, lat.leakage), (stacked.nbr, stacked.win, stacked.leakage)):
+        assert type(tiled) is type(layout) and layout.tile(1) is layout
         vs, us = _wide(rng, (size, layout.shape[1])), _wide(rng, (size, layout.shape[0]))
-        for data in [_wide(rng, len(layout.indices))] + ([] if layout.data is None else [None]):
-            av, atu = layout.matvec(vs, data), layout.rmatvec(us, data)
+        passed = _wide(rng, (size, len(layout.indices)))
+        for data in [passed] + ([] if layout.data is None else [None]):
+            flat_data = None if data is None else data.reshape(-1)
+            av = tiled.matvec(vs.reshape(-1), flat_data).reshape(size, -1)
+            atu = tiled.rmatvec(us.reshape(-1), flat_data).reshape(size, -1)
             for b in range(size):
-                assert av[b].tobytes() == layout.matvec(vs[b], data).tobytes()
-                assert atu[b].tobytes() == layout.rmatvec(us[b], data).tobytes()
-    # the column layouts add a block's per-row entries as the one-vector
-    # kernels add one row's: P^T 1 and W^T (rho d)
-    m = lat.num_nodes
-    post = _wide(rng, (size, len(lat.nbr.indices)))
-    rho, d = _wide(rng, (size, m)), _wide(rng, (size,) + lat.win_idx.shape)
-    p, dbar = lat.nbr_columns.matvec(post), lat.win_columns.matvec((d * rho[..., None]).reshape(size, -1))
-    for b in range(size):
-        assert p[b].tobytes() == lat.nbr.rmatvec(np.ones(m), post[b]).tobytes()
-        assert dbar[b].tobytes() == lat.win.rmatvec(rho[b], d[b].reshape(-1)).tobytes()
+                row = None if data is None else data[b]
+                assert av[b].tobytes() == layout.matvec(vs[b], row).tobytes()
+                assert atu[b].tobytes() == layout.rmatvec(us[b], row).tobytes()
+            copies = [dense_operator(layout, None if data is None else data[b]) for b in range(size)]
+            assert np.array_equal(dense_operator(tiled, flat_data), sparse.block_diag(copies).toarray())
 
 
 @pytest.mark.parametrize("cfg", [
@@ -371,16 +376,18 @@ def test_sum_operators_equal_scipy_product_bitwise(cfg):
 
 def test_shared_geometry_is_read_only():
     # every caller gets the one cached Lattice, so a write to any of its
-    # arrays would change every later run in the process
+    # arrays would change every later run in the process; the same holds for
+    # the cached stacked lattices that the objective runs blocks on
     lat = get_lattice(STRIPE_1D)
     assert lat is get_lattice(STRIPE_1D)
-    arrays = [lat.win_idx, lat.nbr_indices, lat.nbr_rows]
-    for layout in (lat.nbr, lat.win, lat.leakage, lat.nbr_columns, lat.win_columns):
-        arrays += [a for a in (layout.indptr, layout.indices, layout.data) if a is not None]
-    assert len(arrays) == 3 + 3 + 2 + 3 + 3 + 3
-    for arr in arrays:
-        with pytest.raises(ValueError, match="read-only"):
-            arr[0] = arr[0]
+    for lat in (lat, get_lattice(STRIPE_1D, 3)):
+        arrays = [lat.win_idx, lat.nbr_indices, lat.nbr_rows, lat.ones]
+        for layout in (lat.nbr, lat.win, lat.leakage):
+            arrays += [a for a in (layout.indptr, layout.indices, layout.data) if a is not None]
+        assert len(arrays) == 4 + 3 + 2 + 3
+        for arr in arrays:
+            with pytest.raises(ValueError, match="read-only"):
+                arr[0] = arr[0]
 
 
 def test_layouts_refuse_wrong_sizes():

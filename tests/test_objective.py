@@ -1,7 +1,9 @@
 """Distortion functionals, the exact decomposition oracle, stationarity."""
 
 import math
+import sys
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -401,6 +403,20 @@ def test_bound_weights_give_the_coefficients_bitwise():
             assert -2.0 * w2 == -4.0 * (n - 1.0) / (n * m * m)
 
 
+def test_bound_weights_stay_finite_where_n_m_squared_overflows():
+    # n M^2 overflows at these n; each weight is the exact fraction to
+    # within 1e-15, and w1 = 2 / (n M), below the normal range here, also to
+    # within the half step 2^-1075 of its one rounding to a subnormal
+    for n in (1e306, 1e308, sys.float_info.max):
+        for m in (1, 8, 100, 1600):
+            w1, w2 = bound_weights(n, m)
+            exact1 = Fraction(2) / (Fraction(n) * m)
+            exact2 = 2 * (Fraction(n) - 1) / (Fraction(n) * m * m)
+            assert 0.0 < w1 and 0.0 < w2 < math.inf
+            assert abs(Fraction(w1) - exact1) <= Fraction(1e-15) * exact1 + Fraction(1, 2**1075)
+            assert abs(Fraction(w2) - exact2) <= Fraction(1e-15) * exact2
+
+
 def test_solver_error_reports(monkeypatch):
     samples = SampleSet(vectors=np.array([[1.0], [2.0]]))
     dead = np.array([[1.0, 0.0], [1.0, 0.0]])
@@ -484,12 +500,11 @@ def test_blocks_are_bitwise_the_one_sample_loop(instance):
     finally:
         objective.BLOCK_CELLS = saved
     assert (got.d1, got.d2) == objective_one_at_a_time(samples, lat, params, 3.0)
-    fw = forward(xs, lat, params)  # the whole set as one block
-    assert fw.x_windows.flags.c_contiguous
+    fw = forward(xs.reshape(-1), get_lattice(cfg, size), params)  # the whole set as one input
     for i, x in enumerate(xs):
         state = build_state(x, lat, params)
         for name, want in forward_one(x, lat, params).items():
-            assert getattr(fw, name)[i].tobytes() == want.tobytes(), name
+            assert getattr(fw, name).reshape((size,) + want.shape)[i].tobytes() == want.tobytes(), name
             assert getattr(state, name).tobytes() == want.tobytes(), name
 
 

@@ -22,6 +22,7 @@ from pmdnet.cli import (
 from pmdnet.datagen import TrainingConfig, parity_mask
 from pmdnet.gradients import GradientSet, gradient_set_from_states, build_state
 from pmdnet.lattice import LatticeConfig, get_lattice
+from pmdnet.objective import forward
 from pmdnet.trainer import (
     RATE_CEILING,
     STREAMS,
@@ -611,3 +612,21 @@ def test_every_truncation_and_bit_flip_is_rejected(tmp_path):
         bad.write_bytes(bytes(flipped))
         with pytest.raises(CheckpointError):
             checkpoint_load(bad)
+
+
+@pytest.mark.parametrize("lattice_cfg", [
+    DEFAULTS.lattice,
+    LatticeConfig(node_dims=(6, 6), input_window=(3, 3), neighbourhood_window=(3, 3), leakage_window=(3, 3)),
+], ids=["stripe", "6x6"])
+def test_forward_reads_a_drawn_vector_as_one_input(lattice_cfg):
+    # a drawn vector has the padded input's shape, (1, 140) on the stripe
+    # and (8, 8) on the 6 x 6 lattice: one input, whatever its rank
+    state = new_state(lattice_cfg, dataclasses.replace(DEFAULTS.training, updates=0))
+    x = next_vector(state)
+    assert x.shape == lattice_cfg.input_dims
+    lat = get_lattice(lattice_cfg)
+    fw = forward(x, lat, state.params)
+    assert fw.q.shape == (lat.num_nodes,) and fw.dbar.shape == (lat.input_size,)
+    want = build_state(x.reshape(-1), lat, state.params)
+    for name, value in vars(fw).items():
+        assert value.tobytes() == getattr(want, name).tobytes(), name
