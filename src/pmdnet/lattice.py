@@ -22,7 +22,9 @@ scipy.sparse.
 
 No window crosses between inputs, so B inputs are one input to a lattice of
 B stacked copies: Lattice(cfg, copies) tiles every layout and index array
-block-diagonally, and get_lattice caches it with the one-copy lattice.
+block-diagonally, and get_lattice caches it with the one-copy lattice.  A
+stacked lattice also carries one set of BlockBuffers, which every forward
+pass on it overwrites, so a block allocates no (B, M, K) array.
 """
 
 from __future__ import annotations
@@ -37,6 +39,7 @@ from functools import lru_cache
 
 import numpy as np
 import scipy
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .schema import check_field_types
 
@@ -174,8 +177,11 @@ class CSRLayout:
     def __init__(self, shape: tuple[int, int], indptr: np.ndarray, indices: np.ndarray,
                  data: np.ndarray | None = None):
         # 32-bit indices: smaller, and the product runs faster.  Every layout
-        # is a Lattice's, whose D <= M K and nnz stay within LATTICE_MAX_CELLS
-        # (a stacked lattice's within BLOCK_CELLS)
+        # is a Lattice's, whose D <= M K and nnz stay within LATTICE_MAX_CELLS.
+        # compute_D1_D2 stacks B copies only where B M K <= BLOCK_CELLS, so a
+        # stacked W stays within BLOCK_CELLS too, and a stacked N or L, whose
+        # rows hold at most M entries, within BLOCK_CELLS M <= BLOCK_CELLS^2
+        # (4e8 at 20 000) < 2^31
         self.shape = shape
         self.indptr = indptr.astype(np.int32)
         self.indices = indices.astype(np.int32)
@@ -246,14 +252,51 @@ def build_leakage(cfg: LatticeConfig) -> LeakageMatrix:
     return LeakageMatrix((m, m), indptr, indices, np.repeat(1.0 / counts, counts))
 
 
+class BlockBuffers:
+    """The arrays a forward pass on a lattice of B stacked copies writes
+    into, made once with the lattice and overwritten by every pass on it.
+
+    inputs         (B, *input_dims) the block's inputs, each on the padded
+                   input array
+    input_windows  the read-only (B, m1, m2, i1, i2) window view of inputs,
+                   made once: [c, a, b] is the input window of node (a, b)
+                   in copy c, in row-major order like win_idx
+    windows, residuals, squares
+                   (B, M, K) the gathered windows, the residuals and their
+                   squares
+    post           (nnz,) the posterior entries in the neighbourhood layout
+
+    get_lattice shares one lattice per process, so two passes on one stacked
+    lattice at once, from two threads, would overwrite each other's arrays.
+    """
+
+    def __init__(self, cfg: LatticeConfig, copies: int, nnz: int):
+        self.inputs = np.empty((copies, *cfg.input_dims))
+        self.input_windows = sliding_window_view(self.inputs, cfg.input_window, axis=(1, 2))
+        self.windows, self.residuals, self.squares = (
+            np.empty((copies, cfg.num_nodes, cfg.window_len)) for _ in range(3))
+        self.post = np.empty(nnz)
+        # inputs flat and windows shaped like input_windows, each a view made
+        # once: a reshape or np.copyto per call costs more than a small copy
+        self._flat_inputs = self.inputs.reshape(-1)
+        self._window_cells = self.windows.reshape(self.input_windows.shape)
+
+    def gather(self, flat: np.ndarray) -> np.ndarray:
+        """Copy the B inputs, side by side in flat, into inputs and their
+        windows into windows, which is returned."""
+        self._flat_inputs[...] = flat
+        self._window_cells[...] = self.input_windows
+        return self.windows
+
+
 class Lattice:
     """Precomputed geometry used by the hot paths, for one input or, with
     copies = B, for B inputs side by side: B disjoint copies of the lattice,
     whose nodes, input cells and layout entries are copy-major.
 
-    Every array is read-only after construction.  The tests cross-check it
-    against per-node reference geometry (neighbourhood sets and input-window
-    slices) kept in tests/helpers.py.
+    Every geometry array is read-only after construction.  The tests
+    cross-check it against per-node reference geometry (neighbourhood sets
+    and input-window slices) kept in tests/helpers.py.
 
     Attributes:
         cfg          the LatticeConfig of one copy
@@ -275,6 +318,8 @@ class Lattice:
                      y's input window, so win.rmatvec(u, d) adds u_y d_y,
                      over windowed (M, K) entries d, into input space
         leakage      the LeakageMatrix, L for cfg tiled over the copies
+        buffers      the BlockBuffers of a stacked lattice; None on one copy,
+                     whose passes allocate their arrays
     """
 
     def __init__(self, cfg: LatticeConfig, copies: int = 1):
@@ -297,6 +342,7 @@ class Lattice:
         self.win_idx = self.win.indices.astype(np.intp).reshape(blocks)
         self.ones = np.ones(self.num_nodes)
         _freeze(self.nbr_indices, self.nbr_rows, self.win_idx, self.ones)
+        self.buffers = None if copies == 1 else BlockBuffers(cfg, copies, len(self.nbr_indices))
 
     def coords(self, flat: int) -> NodeIndex:
         """The node of flat index `flat`, within its own copy."""
@@ -309,14 +355,18 @@ class Lattice:
         to each node's input window, shaped like win_idx (on B copies
         (B, M, K)).  Every pass over an input starts here,
         so a NaN or inf in x is refused as bad input before it can surface
-        as a non-finite activity or gradient."""
+        as a non-finite activity or gradient.
+
+        On B copies x is copied into buffers.inputs and the windows out of
+        its window view into buffers.windows, which is returned: valid until
+        the next gather on this lattice."""
         flat = np.asarray(x, dtype=float).reshape(-1)
         if flat.shape[0] != self.input_size:
             raise ValueError(f"input length {flat.shape[0]} does not match the lattice's "
                              f"{self.input_size} input cells (input_dims {self.cfg.input_dims})")
         if not np.isfinite(flat).all():
             raise ValueError("input vector must be finite")
-        return flat[self.win_idx]
+        return flat[self.win_idx] if self.buffers is None else self.buffers.gather(flat)
 
     def scatter_rows(self, rows: np.ndarray) -> np.ndarray:
         """Embed per-node windowed rows (M, K) into full input space (M, D),

@@ -24,7 +24,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .activation import NodeParams, activities, localized_posterior_entries
+from .activation import NodeParams, activities, localized_posterior_entries, window_denominators
 from .lattice import Lattice, get_lattice
 
 ENUMERATION_GUARD = 1_000_000
@@ -34,15 +34,20 @@ STATIONARY_COND_LIMIT = 1e12
 # It also bounds n at M = 1, where M^n = 1 would pass any n.
 MAX_FIRINGS = ENUMERATION_GUARD.bit_length() - 1
 # compute_D1_D2 runs forward on blocks of BLOCK_CELLS // (M K) samples, at
-# least one, each block as one input to that many stacked lattice copies.
-# Measured per sample on a 2-core Xeon VM, over 16 random samples: 26-28 us
-# one at a time and 4.5 us in blocks of 16 at M K = 40 (29 and 6.6 us at
-# M K = 330), but 223-232 us one at a time and 335-421 us in blocks of 2 to
-# 16 at 20 x 20 (M K = 32 400).  At the stripe (M K = 4100) blocks of 2 took
-# 40 us against 50-51 us, and blocks of 4 to 16 took 58-75 us.  4096 keeps
-# the stripe, 20 x 20 and 40 x 40 runs one sample at a time and puts each
-# 3-sample gradcheck set (M K = 40 and 144) in one block.
-BLOCK_CELLS = 4096
+# least one, each block as one input to that many stacked lattice copies,
+# which write into their lattice's BlockBuffers.  Per sample over 64 random
+# samples (the fastest of 5 repeats, three runs, 2-core Xeon VM), in blocks
+# of 1 / 2 / 4 / 8 / 16:
+#   stripe,  M K = 4100:     45-46 / 35-37 / 29-31 / 27-29 / 28-31 us
+#   20 x 20, M K = 32 400:   189-203 / 177-196 / 181-194 / 173-183 / 167-188 us
+#   40 x 40, M K = 129 600:  875-947 / 891-965 / 900-974 / 928-1157 /
+#                            1097-1438 us
+# 20 000 runs the stripe in blocks of 4: blocks of 8 gain little more there
+# and hold about 1 MB more.  20 x 20 and 40 x 40 stay one sample at a time:
+# blocks gain under a tenth at 20 x 20, for buffers of 0.8 MB per copy,
+# and lose at 40 x 40.  Each 3-sample gradcheck set (M K = 40 and 144) is
+# one block.
+BLOCK_CELLS = 20_000
 
 
 class StationaritySolveError(RuntimeError):
@@ -147,14 +152,25 @@ class Forward:
 
 
 def forward(x: np.ndarray, lattice: Lattice, params: NodeParams) -> Forward:
-    """Activities, posterior, leaked weights and residuals for one input."""
+    """Activities, posterior, leaked weights and residuals for one input.
+
+    On a stacked lattice x_windows, d_win and post are its BlockBuffers,
+    so the Forward is valid until the next pass on that lattice."""
     xw = lattice.gather(x)  # on B copies (B, M, K): the (M, K) parameters broadcast
     q = activities(xw, params).reshape(-1)
-    post = localized_posterior_entries(q, lattice)
+    buf = lattice.buffers
+    if buf is None:
+        post = localized_posterior_entries(q, lattice)
+        d_win = xw - params.ref_vectors
+        e = (d_win**2).sum(axis=-1).reshape(-1)
+    else:  # the lines above, into the buffers, with one (nnz,) temporary at a time
+        post = buf.post
+        post[...] = q[lattice.nbr_indices]
+        np.divide(post, window_denominators(q, lattice)[lattice.nbr_rows], out=post)
+        d_win = np.subtract(xw, params.ref_vectors, out=buf.residuals)
+        e = np.multiply(d_win, d_win, out=buf.squares).sum(axis=-1).reshape(-1)
     p = lattice.nbr.rmatvec(lattice.ones, post)
     rho = lattice.leakage.apply_transpose(p)
-    d_win = xw - params.ref_vectors
-    e = (d_win**2).sum(axis=-1).reshape(-1)
     dbar = lattice.win.rmatvec(rho, d_win.reshape(-1))
     return Forward(x_windows=xw, q=q, post=post, p=p, rho=rho, d_win=d_win, e=e, dbar=dbar)
 
@@ -197,10 +213,12 @@ def compute_D1_D2(samples: SampleSet, lattice: Lattice, params: NodeParams, n: f
     for start in range(0, s, block):
         xs = samples.vectors[start:start + block]  # one input, however many rows
         fw = forward(xs, lattice if len(xs) == 1 else get_lattice(lattice.cfg, len(xs)), params)
-        for c in range(len(xs)):  # each copy's terms, in sample order
+        # each copy's terms, in sample order; ndarray.dot runs the kernel of @
+        # (BLAS ddot, so the same sum) without matmul's dispatch, 0.3 us less
+        for c in range(len(xs)):
             dbar = fw.dbar[c * d:(c + 1) * d]
-            d1_acc += float(fw.rho[c * m:(c + 1) * m] @ fw.e[c * m:(c + 1) * m])
-            d2_acc += float(dbar @ dbar)
+            d1_acc += float(fw.rho[c * m:(c + 1) * m].dot(fw.e[c * m:(c + 1) * m]))
+            d2_acc += float(dbar.dot(dbar))
     return BoundValue(d1=w1 * d1_acc / s, d2=w2 * d2_acc / s)
 
 

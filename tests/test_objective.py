@@ -12,6 +12,7 @@ from hypothesis import strategies as st_
 
 from pmdnet import objective
 from pmdnet.activation import DegenerateActivityError, NodeParams, activities
+from pmdnet.cli import DEFAULTS
 from pmdnet.gradients import build_state
 from pmdnet.lattice import Lattice, LatticeConfig, get_lattice
 from pmdnet.objective import (
@@ -27,6 +28,7 @@ from pmdnet.objective import (
     solve_stationary_refvectors,
     stationary_form_value,
 )
+from pmdnet.trainer import heldout_samples, new_state
 
 from helpers import forward_one, objective_one_at_a_time, ref_vectors_from_posterior
 from oracle_exact import exact_distortion
@@ -524,3 +526,55 @@ def test_a_block_names_the_dead_node_of_its_first_failing_sample():
     with pytest.raises(DegenerateActivityError) as block:
         compute_D1_D2(samples, lat, params, 2.0)
     assert str(block.value) == str(one_at_a_time.value)
+
+
+def test_reused_block_buffers_leak_nothing_between_calls(monkeypatch):
+    # one cached stacked lattice serves every block of 4: its buffers must
+    # carry nothing from one call, sample set or parameter set to the next
+    cfg = LatticeConfig(node_dims=(3, 4), input_window=(3, 5), neighbourhood_window=(3, 3),
+                        leakage_window=(3, 1))
+    lat = get_lattice(cfg)
+    rng = np.random.default_rng(29)
+    sets = [SampleSet(vectors=rng.uniform(-1, 1, (size, lat.input_size))) for size in (8, 7)]
+    params = [random_params(lat, rng) for _ in range(2)]
+    stacked = get_lattice(cfg, 4)
+    buffers = stacked.buffers
+    mk = lat.num_nodes * lat.window_len
+    sequence = [(4, 0, 0), (4, 1, 1), (4, 0, 1), (4, 1, 0), (3, 1, 1), (3, 0, 0)]
+    for block, s, p in sequence:  # BLOCK_CELLS changes once, from blocks of 4 to 3
+        monkeypatch.setattr(objective, "BLOCK_CELLS", block * mk)
+        got = compute_D1_D2(sets[s], lat, params[p], 3.0)
+        assert (got.d1, got.d2) == objective_one_at_a_time(sets[s], lat, params[p], 3.0)
+    assert get_lattice(cfg, 4) is stacked and stacked.buffers is buffers
+
+
+def test_block_path_refuses_a_non_finite_input():
+    # SampleSet checks its vectors once; a NaN written afterwards must still
+    # be refused where the block's pass starts, as Lattice.gather does
+    lat = get_lattice(LatticeConfig((1, 8), (1, 5), (1, 3), (1, 3)))
+    samples = SampleSet(vectors=np.zeros((3, lat.input_size)))
+    samples.vectors[1, 4] = np.nan
+    assert objective.BLOCK_CELLS // (lat.num_nodes * lat.window_len) >= samples.size  # one block
+    params = NodeParams(weights=np.ones((8, 5)), biases=np.zeros(8), ref_vectors=np.zeros((8, 5)))
+    with pytest.raises(ValueError, match="input vector must be finite"):
+        compute_D1_D2(samples, lat, params, 2.0)
+
+
+def test_heldout_objective_allocates_no_block_sized_array():
+    # the default stripe run's held-out report, once its stacked lattice is
+    # built: every block writes into that lattice's buffers, so the call
+    # allocates less than one block's (b, M, K) windows
+    state = new_state(DEFAULTS.lattice, DEFAULTS.training)
+    samples = heldout_samples(DEFAULTS.lattice, DEFAULTS.training, DEFAULTS.heldout_size)
+    lat, n = state.lattice, float(DEFAULTS.training.n)
+    block = objective.BLOCK_CELLS // (lat.num_nodes * lat.window_len)
+    assert block > 1 and samples.size > block
+    first = compute_D1_D2(samples, lat, state.params, n)
+    tracemalloc.start()
+    try:
+        second = compute_D1_D2(samples, lat, state.params, n)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert second == first
+    assert peak < block * lat.num_nodes * lat.window_len * 8
