@@ -84,13 +84,20 @@ def window_denominators(q: np.ndarray, lattice: Lattice) -> np.ndarray:
     return denom
 
 
-def localized_posterior_entries(q: np.ndarray, lattice: Lattice) -> np.ndarray:
+def localized_posterior_entries(q: np.ndarray, lattice: Lattice,
+                                out: np.ndarray | None = None) -> np.ndarray:
     """The entries of P in the lattice's neighbourhood layout: entry j is
     Pr(nbr_indices[j] | x; nbr_rows[j]).  Each entry is one quotient
     Q / denom, so it stays in [0, 1] even where the activities are
-    subnormal and 1 / denom would overflow."""
+    subnormal and 1 / denom would overflow.  With out, an (nnz,) array,
+    the entries are written into it and it is returned."""
     q = np.asarray(q, dtype=float)
-    return q[lattice.nbr_indices] / window_denominators(q, lattice)[lattice.nbr_rows]
+    denom = window_denominators(q, lattice)
+    post = q[lattice.nbr_indices]
+    if out is not None:
+        out[...] = post
+        post = out
+    return np.divide(post, denom[lattice.nbr_rows], out=post)
 
 
 def localized_posterior_rows(q: np.ndarray, lattice: Lattice):

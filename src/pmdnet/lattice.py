@@ -23,8 +23,8 @@ scipy.sparse.
 No window crosses between inputs, so B inputs are one input to a lattice of
 B stacked copies: Lattice(cfg, copies) tiles every layout and index array
 block-diagonally, and get_lattice caches it with the one-copy lattice.  A
-stacked lattice also carries one set of BlockBuffers, which every forward
-pass on it overwrites, so a block allocates no (B, M, K) array.
+stacked lattice also carries one set of BlockBuffers, which a forward pass
+given them overwrites, so such a block allocates no (B, M, K) array.
 """
 
 from __future__ import annotations
@@ -254,7 +254,8 @@ def build_leakage(cfg: LatticeConfig) -> LeakageMatrix:
 
 class BlockBuffers:
     """The arrays a forward pass on a lattice of B stacked copies writes
-    into, made once with the lattice and overwritten by every pass on it.
+    into when given them, made once with the lattice and overwritten by
+    every such pass.
 
     inputs         (B, *input_dims) the block's inputs, each on the padded
                    input array
@@ -266,8 +267,9 @@ class BlockBuffers:
                    squares
     post           (nnz,) the posterior entries in the neighbourhood layout
 
-    get_lattice shares one lattice per process, so two passes on one stacked
-    lattice at once, from two threads, would overwrite each other's arrays.
+    get_lattice shares one lattice per process, so two passes given its
+    buffers at once, from two threads (two compute_D1_D2 calls on one
+    configuration), would overwrite each other's arrays.
     """
 
     def __init__(self, cfg: LatticeConfig, copies: int, nnz: int):
@@ -318,8 +320,8 @@ class Lattice:
                      y's input window, so win.rmatvec(u, d) adds u_y d_y,
                      over windowed (M, K) entries d, into input space
         leakage      the LeakageMatrix, L for cfg tiled over the copies
-        buffers      the BlockBuffers of a stacked lattice; None on one copy,
-                     whose passes allocate their arrays
+        buffers      the BlockBuffers of a stacked lattice, which a pass
+                     uses only when given them; None on one copy
     """
 
     def __init__(self, cfg: LatticeConfig, copies: int = 1):
@@ -350,23 +352,24 @@ class Lattice:
         flat = int(flat) % self.cfg.num_nodes
         return (flat // m2, flat % m2)
 
-    def gather(self, x: np.ndarray) -> np.ndarray:
+    def gather(self, x: np.ndarray, buffers: BlockBuffers | None = None) -> np.ndarray:
         """Windowed view of one input vector: (M, K) array of x restricted
         to each node's input window, shaped like win_idx (on B copies
         (B, M, K)).  Every pass over an input starts here,
         so a NaN or inf in x is refused as bad input before it can surface
         as a non-finite activity or gradient.
 
-        On B copies x is copied into buffers.inputs and the windows out of
-        its window view into buffers.windows, which is returned: valid until
-        the next gather on this lattice."""
+        With buffers, this stacked lattice's BlockBuffers, x is copied into
+        buffers.inputs and the windows out of its window view into
+        buffers.windows, which is returned: valid until the next gather
+        into them."""
         flat = np.asarray(x, dtype=float).reshape(-1)
         if flat.shape[0] != self.input_size:
             raise ValueError(f"input length {flat.shape[0]} does not match the lattice's "
                              f"{self.input_size} input cells (input_dims {self.cfg.input_dims})")
         if not np.isfinite(flat).all():
             raise ValueError("input vector must be finite")
-        return flat[self.win_idx] if self.buffers is None else self.buffers.gather(flat)
+        return flat[self.win_idx] if buffers is None else buffers.gather(flat)
 
     def scatter_rows(self, rows: np.ndarray) -> np.ndarray:
         """Embed per-node windowed rows (M, K) into full input space (M, D),

@@ -24,8 +24,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .activation import NodeParams, activities, localized_posterior_entries, window_denominators
-from .lattice import Lattice, get_lattice
+from .activation import NodeParams, activities, localized_posterior_entries
+from .lattice import BlockBuffers, Lattice, get_lattice
 
 ENUMERATION_GUARD = 1_000_000
 # solve_stationary_refvectors refuses a system whose condition number exceeds this
@@ -43,7 +43,10 @@ MAX_FIRINGS = ENUMERATION_GUARD.bit_length() - 1
 #   40 x 40, M K = 129 600:  875-947 / 891-965 / 900-974 / 928-1157 /
 #                            1097-1438 us
 # 20 000 runs the stripe in blocks of 4: blocks of 8 gain little more there
-# and hold about 1 MB more.  20 x 20 and 40 x 40 stay one sample at a time:
+# and hold about 1 MB more.  Without the buffers, blocks that allocate
+# their arrays took 38-40 us in blocks of 3, whose (B, M, K) arrays stay
+# below glibc's 128 KiB mmap threshold, and 50-64 us in blocks of 4 to 16,
+# whose arrays do not.  20 x 20 and 40 x 40 stay one sample at a time:
 # blocks gain under a tenth at 20 x 20, for buffers of 0.8 MB per copy,
 # and lose at 40 x 40.  Each 3-sample gradcheck set (M K = 40 and 144) is
 # one block.
@@ -151,26 +154,23 @@ class Forward:
     dbar: np.ndarray
 
 
-def forward(x: np.ndarray, lattice: Lattice, params: NodeParams) -> Forward:
+def forward(x: np.ndarray, lattice: Lattice, params: NodeParams,
+            buffers: BlockBuffers | None = None) -> Forward:
     """Activities, posterior, leaked weights and residuals for one input.
 
-    On a stacked lattice x_windows, d_win and post are its BlockBuffers,
-    so the Forward is valid until the next pass on that lattice."""
-    xw = lattice.gather(x)  # on B copies (B, M, K): the (M, K) parameters broadcast
+    Without buffers every array is the pass's own.  With buffers, the
+    BlockBuffers of this stacked lattice, x_windows, post and d_win are
+    written into them, so the Forward is valid until the next pass given
+    the same buffers."""
+    post, residuals, squares = (None,) * 3 if buffers is None else (
+        buffers.post, buffers.residuals, buffers.squares)
+    xw = lattice.gather(x, buffers)  # on B copies (B, M, K): the (M, K) parameters broadcast
     q = activities(xw, params).reshape(-1)
-    buf = lattice.buffers
-    if buf is None:
-        post = localized_posterior_entries(q, lattice)
-        d_win = xw - params.ref_vectors
-        e = (d_win**2).sum(axis=-1).reshape(-1)
-    else:  # the lines above, into the buffers, with one (nnz,) temporary at a time
-        post = buf.post
-        post[...] = q[lattice.nbr_indices]
-        np.divide(post, window_denominators(q, lattice)[lattice.nbr_rows], out=post)
-        d_win = np.subtract(xw, params.ref_vectors, out=buf.residuals)
-        e = np.multiply(d_win, d_win, out=buf.squares).sum(axis=-1).reshape(-1)
+    post = localized_posterior_entries(q, lattice, out=post)
     p = lattice.nbr.rmatvec(lattice.ones, post)
     rho = lattice.leakage.apply_transpose(p)
+    d_win = np.subtract(xw, params.ref_vectors, out=residuals)
+    e = np.multiply(d_win, d_win, out=squares).sum(axis=-1).reshape(-1)  # the bits of d_win**2
     dbar = lattice.win.rmatvec(rho, d_win.reshape(-1))
     return Forward(x_windows=xw, q=q, post=post, p=p, rho=rho, d_win=d_win, e=e, dbar=dbar)
 
@@ -212,7 +212,8 @@ def compute_D1_D2(samples: SampleSet, lattice: Lattice, params: NodeParams, n: f
     block = max(1, BLOCK_CELLS // (m * lattice.window_len))
     for start in range(0, s, block):
         xs = samples.vectors[start:start + block]  # one input, however many rows
-        fw = forward(xs, lattice if len(xs) == 1 else get_lattice(lattice.cfg, len(xs)), params)
+        copies = lattice if len(xs) == 1 else get_lattice(lattice.cfg, len(xs))
+        fw = forward(xs, copies, params, copies.buffers)
         # each copy's terms, in sample order; ndarray.dot runs the kernel of @
         # (BLAS ddot, so the same sum) without matmul's dispatch, 0.3 us less
         for c in range(len(xs)):

@@ -548,6 +548,25 @@ def test_reused_block_buffers_leak_nothing_between_calls(monkeypatch):
     assert get_lattice(cfg, 4) is stacked and stacked.buffers is buffers
 
 
+def test_a_pass_given_block_buffers_overwrites_the_last_forward():
+    # a Forward written into a stacked lattice's buffers holds until the
+    # next pass given them; a pass without them keeps its own arrays
+    cfg = LatticeConfig((1, 8), (1, 5), (1, 3), (1, 3))
+    stacked = get_lattice(cfg, 2)
+    rng = np.random.default_rng(7)
+    params = random_params(get_lattice(cfg), rng)
+    xs = rng.uniform(-1, 1, (2, stacked.input_size))
+    own = forward(xs[0], stacked, params)
+    first = forward(xs[0], stacked, params, stacked.buffers)
+    kept = {name: getattr(first, name).tobytes() for name in ("x_windows", "post", "d_win")}
+    assert all(getattr(own, name).tobytes() == want for name, want in kept.items())
+    second = forward(xs[1], stacked, params, stacked.buffers)
+    for name, want in kept.items():
+        assert getattr(first, name) is getattr(second, name)
+        assert getattr(first, name).tobytes() != want, name
+        assert getattr(own, name).tobytes() == want, name
+
+
 def test_block_path_refuses_a_non_finite_input():
     # SampleSet checks its vectors once; a NaN written afterwards must still
     # be refused where the block's pass starts, as Lattice.gather does
