@@ -78,7 +78,7 @@ def build_state(x: np.ndarray, lattice: Lattice, params: NodeParams) -> Activati
     """Evaluate and cache everything the derivative formulas need for one
     input vector."""
     fw = forward(x, lattice, params)
-    dbar_win = fw.dbar[lattice.win_idx]
+    dbar_win = lattice.windows(fw.dbar)  # unchecked: a non-finite dbar fails as a gradient
     h = np.einsum("ij,ij->i", fw.d_win, dbar_win)
     le = lattice.leakage.apply(fw.e)
     lh = lattice.leakage.apply(h)

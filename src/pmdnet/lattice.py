@@ -23,8 +23,10 @@ scipy.sparse.
 No window crosses between inputs, so B inputs are one input to a lattice of
 B stacked copies: Lattice(cfg, copies) tiles every layout and index array
 block-diagonally, and get_lattice caches it with the one-copy lattice.  A
-stacked lattice also carries one set of BlockBuffers, which a forward pass
-given them overwrites, so such a block allocates no (B, M, K) array.
+stacked lattice also carries its BlockBuffers, the four output arrays a
+forward pass given them overwrites, so such a block allocates no (B, M, K)
+array.  Every gather, on any lattice, copies the windows out of a strided
+view of the caller's own input, with no index and no input buffer.
 """
 
 from __future__ import annotations
@@ -39,7 +41,6 @@ from functools import lru_cache
 
 import numpy as np
 import scipy
-from numpy.lib.stride_tricks import sliding_window_view
 
 from .schema import check_field_types
 
@@ -253,15 +254,10 @@ def build_leakage(cfg: LatticeConfig) -> LeakageMatrix:
 
 
 class BlockBuffers:
-    """The arrays a forward pass on a lattice of B stacked copies writes
-    into when given them, made once with the lattice and overwritten by
-    every such pass.
+    """The four output arrays of a forward pass on a lattice of B stacked
+    copies, written into when the pass is given them, made once with the
+    lattice and overwritten by every such pass.
 
-    inputs         (B, *input_dims) the block's inputs, each on the padded
-                   input array
-    input_windows  the read-only (B, m1, m2, i1, i2) window view of inputs,
-                   made once: [c, a, b] is the input window of node (a, b)
-                   in copy c, in row-major order like win_idx
     windows, residuals, squares
                    (B, M, K) the gathered windows, the residuals and their
                    squares
@@ -273,28 +269,16 @@ class BlockBuffers:
     """
 
     def __init__(self, cfg: LatticeConfig, copies: int, nnz: int):
-        self.inputs = np.empty((copies, *cfg.input_dims))
-        self.input_windows = sliding_window_view(self.inputs, cfg.input_window, axis=(1, 2))
         self.windows, self.residuals, self.squares = (
             np.empty((copies, cfg.num_nodes, cfg.window_len)) for _ in range(3))
         self.post = np.empty(nnz)
-        # inputs flat and windows shaped like input_windows, each a view made
-        # once: a reshape or np.copyto per call costs more than a small copy
-        self._flat_inputs = self.inputs.reshape(-1)
-        self._window_cells = self.windows.reshape(self.input_windows.shape)
-
-    def gather(self, flat: np.ndarray) -> np.ndarray:
-        """Copy the B inputs, side by side in flat, into inputs and their
-        windows into windows, which is returned."""
-        self._flat_inputs[...] = flat
-        self._window_cells[...] = self.input_windows
-        return self.windows
 
 
 class Lattice:
     """Precomputed geometry used by the hot paths, for one input or, with
     copies = B, for B inputs side by side: B disjoint copies of the lattice,
-    whose nodes, input cells and layout entries are copy-major.
+    whose nodes, input cells and layout entries are copy-major.  gather and
+    windows copy the input windows out of a strided view of the input.
 
     Every geometry array is read-only after construction.  The tests
     cross-check it against per-node reference geometry (neighbourhood sets
@@ -320,8 +304,8 @@ class Lattice:
                      y's input window, so win.rmatvec(u, d) adds u_y d_y,
                      over windowed (M, K) entries d, into input space
         leakage      the LeakageMatrix, L for cfg tiled over the copies
-        buffers      the BlockBuffers of a stacked lattice, which a pass
-                     uses only when given them; None on one copy
+        buffers      the BlockBuffers of a stacked lattice, its passes' four
+                     output arrays, used only when given; None on one copy
     """
 
     def __init__(self, cfg: LatticeConfig, copies: int = 1):
@@ -344,6 +328,11 @@ class Lattice:
         self.win_idx = self.win.indices.astype(np.intp).reshape(blocks)
         self.ones = np.ones(self.num_nodes)
         _freeze(self.nbr_indices, self.nbr_rows, self.win_idx, self.ones)
+        # shape and byte strides of the window view of a contiguous input:
+        # [c, a, b, u, v] is cell (a + u, b + v) of copy c, in win_idx's order
+        d2 = cfg.input_dims[1]
+        self._window_view = ((copies, *cfg.node_dims, *cfg.input_window),
+                             tuple(8 * s for s in (d, d2, 1, d2, 1)))
         self.buffers = None if copies == 1 else BlockBuffers(cfg, copies, len(self.nbr_indices))
 
     def coords(self, flat: int) -> NodeIndex:
@@ -352,24 +341,29 @@ class Lattice:
         flat = int(flat) % self.cfg.num_nodes
         return (flat // m2, flat % m2)
 
-    def gather(self, x: np.ndarray, buffers: BlockBuffers | None = None) -> np.ndarray:
-        """Windowed view of one input vector: (M, K) array of x restricted
+    def gather(self, x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        """Windowed copy of one input vector: (M, K) array of x restricted
         to each node's input window, shaped like win_idx (on B copies
-        (B, M, K)).  Every pass over an input starts here,
-        so a NaN or inf in x is refused as bad input before it can surface
-        as a non-finite activity or gradient.
-
-        With buffers, this stacked lattice's BlockBuffers, x is copied into
-        buffers.inputs and the windows out of its window view into
-        buffers.windows, which is returned: valid until the next gather
-        into them."""
-        flat = np.asarray(x, dtype=float).reshape(-1)
+        (B, M, K)), written into out when given.  Every pass over an input
+        starts here, so a NaN or inf in x is refused as bad input before it
+        can surface as a non-finite activity or gradient."""
+        flat = np.ascontiguousarray(x, dtype=float).reshape(-1)
         if flat.shape[0] != self.input_size:
             raise ValueError(f"input length {flat.shape[0]} does not match the lattice's "
                              f"{self.input_size} input cells (input_dims {self.cfg.input_dims})")
         if not np.isfinite(flat).all():
             raise ValueError("input vector must be finite")
-        return flat[self.win_idx] if buffers is None else buffers.gather(flat)
+        return self.windows(flat, out)
+
+    def windows(self, flat: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        """Unchecked gather of flat, a contiguous float array of input_size
+        cells: each node's window copied out of a strided view of flat, into
+        out (or a new array) shaped like win_idx.  Always a copy: at the
+        stripe a reshape of the view would be a view of flat."""
+        shape, strides = self._window_view
+        cells = np.empty(self.win_idx.shape) if out is None else out
+        cells.reshape(shape)[...] = np.ndarray(shape, float, flat, 0, strides)
+        return cells
 
     def scatter_rows(self, rows: np.ndarray) -> np.ndarray:
         """Embed per-node windowed rows (M, K) into full input space (M, D),

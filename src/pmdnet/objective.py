@@ -160,11 +160,11 @@ def forward(x: np.ndarray, lattice: Lattice, params: NodeParams,
 
     Without buffers every array is the pass's own.  With buffers, the
     BlockBuffers of this stacked lattice, x_windows, post and d_win are
-    written into them, so the Forward is valid until the next pass given
-    the same buffers."""
-    post, residuals, squares = (None,) * 3 if buffers is None else (
-        buffers.post, buffers.residuals, buffers.squares)
-    xw = lattice.gather(x, buffers)  # on B copies (B, M, K): the (M, K) parameters broadcast
+    written into them (the windows copied straight out of x), so the
+    Forward is valid until the next pass given the same buffers."""
+    windows, post, residuals, squares = (None,) * 4 if buffers is None else (
+        buffers.windows, buffers.post, buffers.residuals, buffers.squares)
+    xw = lattice.gather(x, windows)  # on B copies (B, M, K): the (M, K) parameters broadcast
     q = activities(xw, params).reshape(-1)
     post = localized_posterior_entries(q, lattice, out=post)
     p = lattice.nbr.rmatvec(lattice.ones, post)
@@ -205,6 +205,8 @@ def compute_D1_D2(samples: SampleSet, lattice: Lattice, params: NodeParams, n: f
     if n < 1:
         raise ValueError("n must be >= 1")
     m, d = lattice.cfg.num_nodes, lattice.cfg.input_size
+    if samples.dim != d:  # here, so that a block does not report B samples as one input
+        raise ValueError(f"samples have {samples.dim} cells, the lattice's input has {d}")
     w1, w2 = bound_weights(n, m)
     d1_acc = 0.0
     d2_acc = 0.0

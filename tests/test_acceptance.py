@@ -196,7 +196,24 @@ def test_criterion_5():
         assert np.abs(sol[~att]).max() <= 1e-10
 
 
-def test_criterion_6():
+@pytest.fixture(scope="module")
+def stripe_runs():
+    """The five default stripe runs that criterion 6 and the stripe-period
+    test read, trained once: per seed, the held-out objective at steps 100
+    and 3200 and the dominance profile at step 3200."""
+    runs = []
+    for seed in range(5):
+        tc = stripe_training(seed)
+        held = heldout_samples(STRIPE_LATTICE, tc, 64)
+        st = new_state(STRIPE_LATTICE, tc)
+        run_training(st, 100)
+        early = heldout_objective(st, held).total
+        run_training(st, 3100)  # fresh policy: segments match one long run
+        runs.append((early, heldout_objective(st, held).total, dominance(st)))
+    return runs
+
+
+def test_criterion_6(stripe_runs):
     """Interleaved 1D run forms dominance stripes with period 15..27 on the
     interior for at least 3 of 5 seeds, while the held-out objective falls
     in median from step 100 to step 3200."""
@@ -204,15 +221,9 @@ def test_criterion_6():
     periods = []
     early = []
     late = []
-    for seed in range(5):
-        tc = stripe_training(seed)
-        held = heldout_samples(STRIPE_LATTICE, tc, 64)
-        st = new_state(STRIPE_LATTICE, tc)
-        run_training(st, 100)
-        early.append(heldout_objective(st, held).total)
-        run_training(st, 3100)  # fresh policy: segments match one long run
-        late.append(heldout_objective(st, held).total)
-        prof = dominance(st)
+    for first, last, prof in stripe_runs:
+        early.append(first)
+        late.append(last)
         signal = (prof.a1 - prof.a2)[10:90]
         signal = signal - signal.mean()
         spectrum = np.abs(np.fft.rfft(signal))
@@ -225,11 +236,9 @@ def test_criterion_6():
     assert np.median(late) < np.median(early)
 
 
-def test_stripe_period_is_criterion_6s_formula():
+def test_stripe_period_is_criterion_6s_formula(stripe_runs):
     # trainer.stripe_period is the period criterion 6 computes for itself
-    for seed in range(5):
-        st = run_training(new_state(STRIPE_LATTICE, stripe_training(seed)), 3200)
-        prof = dominance(st)
+    for seed, (_, _, prof) in enumerate(stripe_runs):
         signal = (prof.a1 - prof.a2)[10:90]
         signal = signal - signal.mean()
         spectrum = np.abs(np.fft.rfft(signal))

@@ -13,6 +13,8 @@ from hypothesis import strategies as st_
 from scipy import sparse
 
 from pmdnet import lattice
+from pmdnet.activation import NodeParams
+from pmdnet.gradients import build_state
 from pmdnet.lattice import (
     LATTICE_MAX_CELLS,
     Lattice,
@@ -234,6 +236,47 @@ def test_lattice_gather_scatter_roundtrip():
         mask = np.ones(lat.input_size, dtype=bool)
         mask[lat.win_idx[k]] = False
         assert np.all(full[k][mask] == 0)
+
+
+def _input_layouts(values, cfg, copies):
+    """values laid out four ways, each as (x, owner): x holds values, and
+    owner is a writable array whose memory x shares."""
+    base = values.copy()
+    read_only = base.view()
+    read_only.flags.writeable = False
+    reversed_copy = values[::-1].copy()
+    fortran = np.asfortranarray(values.reshape(copies, *cfg.input_dims))
+    strided = np.zeros(2 * values.size)
+    strided[::2] = values
+    return {"read-only": (read_only, base), "reversed": (reversed_copy[::-1], reversed_copy),
+            "fortran": (fortran, fortran), "stride-2": (strided[::2], strided)}
+
+
+@pytest.mark.parametrize("layout", ["read-only", "reversed", "fortran", "stride-2"])
+@pytest.mark.parametrize("given_out", [False, True])
+@pytest.mark.parametrize("cfg", [STRIPE_1D, LatticeConfig((3, 4), (3, 5), (3, 3), (3, 1))],
+                         ids=["stripe", "3x4"])
+@pytest.mark.parametrize("copies", [1, 3])
+def test_gather_is_a_copy_of_the_indexed_windows(copies, cfg, given_out, layout):
+    # the strided copy equals fancy indexing with win_idx bitwise, whatever
+    # the input's memory layout, and never aliases the input: at the stripe
+    # a reshape of the window view would be a view of x
+    lat = get_lattice(cfg, copies)
+    rng = np.random.default_rng(31)
+    x, owner = _input_layouts(rng.standard_normal(lat.input_size), cfg, copies)[layout]
+    want = x.reshape(-1)[lat.win_idx]
+    out = np.full(lat.win_idx.shape, np.nan) if given_out else None
+    got = lat.gather(x, out)
+    assert got.tobytes() == want.tobytes()
+    assert got is out if given_out else got.shape == lat.win_idx.shape
+    owner[...] = 0.0
+    assert got.tobytes() == want.tobytes()
+    if copies == 1:  # build_state gathers dbar the same way, unchecked
+        m, k = lat.num_nodes, lat.window_len
+        params = NodeParams(weights=rng.uniform(-0.4, 0.4, (m, k)), biases=rng.uniform(-0.3, 0.3, m),
+                            ref_vectors=rng.uniform(-0.6, 0.6, (m, k)))
+        state = build_state(rng.standard_normal(lat.input_size), lat, params)
+        assert state.dbar_win.tobytes() == state.dbar[lat.win_idx].tobytes()
 
 
 def test_lattice_neighbour_rows_match_sets():

@@ -567,6 +567,17 @@ def test_a_pass_given_block_buffers_overwrites_the_last_forward():
         assert getattr(own, name).tobytes() == want, name
 
 
+@pytest.mark.parametrize("size", [1, 64])
+def test_a_wrong_sample_width_is_named_per_sample(size):
+    # one sample and a block of samples at the stripe report the same
+    # figures, not those of the block's stacked input
+    lat = get_lattice(DEFAULTS.lattice)
+    params = random_params(lat, np.random.default_rng(0))
+    samples = SampleSet(vectors=np.zeros((size, lat.input_size - 1)))
+    with pytest.raises(ValueError, match="^samples have 139 cells, the lattice's input has 140$"):
+        compute_D1_D2(samples, lat, params, 2.0)
+
+
 def test_block_path_refuses_a_non_finite_input():
     # SampleSet checks its vectors once; a NaN written afterwards must still
     # be refused where the block's pass starts, as Lattice.gather does
